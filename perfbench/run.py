@@ -5,7 +5,7 @@
 Run from the checkout root.  Every measurement is a fresh Python process
 (``child.py``) with its own result store; the workload's campaign runs
 inside it on at most ``nproc`` threads.  With ``--trace 0`` the run
-repeats the workload until ``--seconds`` are spent and reports the
+repeats the workload for about ``--seconds`` and reports the
 end-to-end metrics; with ``--trace 1`` it makes one untimed-overhead
 reference run and two traced runs, and reports the per-layer metrics.
 Either way every point's output is checked (committed digest at the
@@ -126,10 +126,15 @@ def _p90(values: list[float]) -> float:
 
 
 def timed_runs(bench: Bench, seconds: float, prefill: Path | None) -> tuple[list, list]:
-    """Repeat the workload until ``seconds`` are spent; (runs, setup times)."""
+    """Repeat the workload for about ``seconds``; (runs, setup times).
+
+    Another repeat starts while at least half of it is expected to fit,
+    so on average the repeats fill ``seconds``: the longer the measured
+    window, the less the host's slow speed drift moves a run's medians.
+    """
     runs: list[dict] = []
     spent = last = 0.0
-    while not runs or spent + last <= seconds:
+    while not runs or spent + last / 2 <= seconds:
         t0 = time.monotonic()
         runs.append(bench.child("run", store=bench.store(prefill)))
         last = time.monotonic() - t0
