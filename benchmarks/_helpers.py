@@ -1,4 +1,4 @@
-"""Support code shared by the per-figure benchmark files.
+"""Support code shared by the benchmark files.
 
 ``figure_bench`` is the workhorse: it regenerates one paper figure's data
 series through the campaign engine (deduplicated and cached across

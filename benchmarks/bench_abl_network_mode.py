@@ -1,6 +1,6 @@
 """Ablation A7: the four network engines compared.
 
-``fast`` (whole-path reservation), ``batch`` (vectorised whole-path
+``fast`` (whole-path reservation), ``batch`` (compiled whole-path
 reservation, bit-identical to fast), ``causal`` (exact per-hop
 arbitration) and ``sfb`` (single-flit-buffer wormhole with chained
 channel holding).  DESIGN.md 2.1: fast may over-state and sfb must
@@ -71,7 +71,7 @@ def test_abl_network_mode(benchmark, scale):
     print("\n" + table)
     (results_dir() / "abl_network_mode.txt").write_text(table + "\n")
 
-    # (a') the vectorised engine reproduces the reference exactly
+    # (a') the batch engine reproduces the reference exactly
     for alloc in ALLOCS:
         assert results["batch"][alloc] == results["fast"][alloc], alloc
     # (b) the paper's headline winner is preserved across all engines:

@@ -2,14 +2,14 @@
 
 Times the figure-2 real-workload cell (GABL + FCFS on the 16x22 mesh at
 the sweep's high load) under the ``fast`` reference, the ``batch``
-backend, and ``batch`` with its compiled kernel disabled (the portable
-NumPy/Python engines), verifies that every batch variant reproduces
-``fast`` metric-for-metric (exact equality -- the backends share one
-reservation discipline), and records the wall-clock speedup.  The
-acceptance bar for the vectorised backend is >= 3x over ``fast`` on
-this cell; the assertion is gated on the compiled reservation kernel
-being available, since the portable fallbacks only have to be
-*correct*, not fast.
+backend, and ``batch`` with its compiled kernel disabled (which then
+runs the ``fast`` reference loop itself), verifies that every batch
+variant reproduces ``fast`` metric-for-metric (exact equality -- the
+backends share one reservation discipline), and records the wall-clock
+speedup.  The acceptance bar for the compiled backend is >= 3x over
+``fast`` on this cell; the assertion is gated on the compiled
+reservation kernel being available, since the portable fallback only
+has to be *correct*, not fast.
 
 Results land in ``results/network_backends.txt``.
 """
@@ -22,6 +22,7 @@ import time
 
 from _helpers import results_dir
 
+from repro import _cbuild
 from repro.alloc import make_allocator
 from repro.core.config import PAPER_CONFIG
 from repro.core.simulator import Simulator
@@ -56,7 +57,7 @@ def _measure(mode: str, jobs: int, trace_max: int, portable: bool = False):
     if portable:
         saved = os.environ.get("REPRO_NATIVE")
         os.environ["REPRO_NATIVE"] = "0"
-        _native.reset_kernel_cache()
+        _cbuild.reset()
     try:
         result, best = _run_cell(mode, jobs, trace_max)
         for _ in range(BEST_OF - 1):
@@ -68,7 +69,7 @@ def _measure(mode: str, jobs: int, trace_max: int, portable: bool = False):
                 os.environ.pop("REPRO_NATIVE", None)
             else:
                 os.environ["REPRO_NATIVE"] = saved
-            _native.reset_kernel_cache()
+            _cbuild.reset()
 
 
 def test_network_backends(benchmark, scale):
@@ -104,13 +105,13 @@ def test_network_backends(benchmark, scale):
             if getattr(fast, f.name) != getattr(variant, f.name)
         ]
         assert not mismatched, f"{tag} diverged from fast on: {mismatched}"
-    # (b) the vectorised backend clears the speedup bar (with the
-    # compiled kernel; the portable fallbacks are correctness-only)
+    # (b) the compiled backend clears the speedup bar (the portable
+    # fallback is correctness-only)
     if native:
         assert speedup >= SPEEDUP_TARGET, (
             f"batch speedup {speedup:.2f}x below {SPEEDUP_TARGET}x"
         )
-    # without a compiler the portable engines only promise correctness,
+    # without a compiler the portable fallback only promises correctness,
     # so no wall-clock floor is asserted
 
     benchmark.pedantic(

@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--network-mode",
         choices=NETWORK_MODES,
         default=None,
-        help="network transport backend: batch (vectorised, the default), "
+        help="network transport backend: batch (compiled, the default), "
         "fast (bit-identical reference), causal (exact per-hop "
         "arbitration) or sfb (single-flit-buffer wormhole)",
     )

@@ -11,16 +11,16 @@ handful of FFI calls per lane.
 
 The C translation unit embeds :data:`repro.network._native._SOURCE`
 verbatim, so packet timing goes through the *same* ``solve_rounds``
-routine the batch backend uses, and every float64 operation elsewhere
+routine the batch backend uses -- both load this one library, the lane
+library :data:`LANE` -- and every float64 operation elsewhere
 (busy-time integral, metric sums, departure times) is performed in the
 reference engine's exact order -- compiled with ``-ffp-contract=off`` --
 making the lane driver bit-identical to the reference engine
 (``tests/test_engine_equivalence.py``).
 
-Like the network kernel, this module is strictly optional:
-:mod:`repro.core.soa` falls back to lockstepped reference simulators
-(same results) when compilation is impossible.  Set ``REPRO_NATIVE=0``
-to disable compilation and dispatch entirely.
+The library is strictly optional: :mod:`repro.core.soa` falls back to
+lockstepped reference simulators (same results) when
+:mod:`repro._cbuild` cannot build it or ``REPRO_NATIVE=0``.
 
 **GIL-release contract.**  ``soa_advance`` is loaded through
 :class:`ctypes.CDLL`, so the GIL is dropped for the entire duration of
@@ -32,20 +32,16 @@ writes nothing else.  Lanes from *different* batches therefore advance
 concurrently from a thread pool with no shared state at all, which is
 what makes the campaign's ``--executor thread`` mode scale
 (:mod:`repro.experiments.campaign`).  The only cross-thread step, the
-lazy first-use compile, serialises on
-:data:`repro.network._native.KERNEL_LOCK` so N threads build once.
+lazy first-use compile, serialises in :mod:`repro._cbuild` so N
+threads build once.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 
-from repro.network._native import _SOURCE as _NETWORK_SOURCE
-from repro.network._native import KERNEL_LOCK, _cache_dir, _compiler
+from repro import _cbuild
+from repro.network import _native as network_native
 
 #: pointer-table slots of ``soa_advance``'s first argument; must match
 #: the ``P_*`` enum in the C source below, slot for slot.
@@ -1060,70 +1056,21 @@ int64_t soa_advance(void **P, const int64_t *CI, const double *CF)
 
 #: the full translation unit: the network reservation kernel first (the
 #: driver calls its ``solve_rounds`` directly), then the lane driver
-_SOURCE = _NETWORK_SOURCE + _DRIVER_SOURCE
-
-_UNSET = object()
-_kernel = _UNSET
+_SOURCE = network_native._SOURCE + _DRIVER_SOURCE
 
 
-def _build() -> ctypes.CDLL | None:
-    """Compile and load the lane driver (same recipe as the network kernel)."""
-    cc = _compiler()
-    if cc is None:
-        return None
-    cache_dir = _cache_dir()
-    if cache_dir is None:
-        return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    lib_path = cache_dir / f"soa_{digest}.so"
-    if lib_path.is_file() and os.stat(lib_path).st_uid != os.getuid():
-        return None  # never load code we did not write
-    if not lib_path.is_file():
-        src = cache_dir / f"soa_{digest}.c"
-        src.write_text(_SOURCE)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-        os.close(fd)
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-               str(src), "-o", tmp]
-        try:
-            subprocess.run(cmd, check=True, capture_output=True, timeout=60)
-            os.replace(tmp, lib_path)
-        except (OSError, subprocess.SubprocessError):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return None
-    try:
-        lib = ctypes.CDLL(str(lib_path))
-    except OSError:
-        return None
+def _declare(lib: ctypes.CDLL) -> None:
+    network_native.declare(lib)
     lib.soa_advance.restype = ctypes.c_int64
     lib.soa_advance.argtypes = [
         ctypes.POINTER(ctypes.c_void_p), ctypes.c_void_p, ctypes.c_void_p,
     ]
-    return lib
+
+
+#: the lane library: ``solve_rounds`` and ``soa_advance``
+LANE = _cbuild.Library("lane", _SOURCE, _declare)
 
 
 def load_kernel() -> ctypes.CDLL | None:
-    """The compiled lane driver, or ``None`` when unavailable (memoised).
-
-    Thread-safe: concurrent first calls serialise on the shared
-    :data:`~repro.network._native.KERNEL_LOCK` (double-checked), so the
-    compile runs once and every caller gets the same handle.
-    """
-    global _kernel
-    if _kernel is _UNSET:
-        with KERNEL_LOCK:
-            if _kernel is _UNSET:
-                if os.environ.get("REPRO_NATIVE", "1") == "0":
-                    _kernel = None
-                else:
-                    _kernel = _build()
-    return _kernel
-
-
-def reset_kernel_cache() -> None:
-    """Forget the memoised kernel (tests toggling ``REPRO_NATIVE``)."""
-    global _kernel
-    _kernel = _UNSET
+    """The compiled lane driver, or ``None`` when unavailable (memoised)."""
+    return LANE.load()

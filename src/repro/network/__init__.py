@@ -7,13 +7,13 @@ job traffic (section 5).
 
 The timing engines live behind the pluggable transport-backend layer in
 :mod:`repro.network.backend`: ``fast`` (reference whole-path
-reservation), ``batch`` (vectorised, bit-identical to ``fast``, the
-default), ``causal`` (exact per-hop arbitration) and ``sfb``
+reservation), ``batch`` (compiled launch kernel, bit-identical to
+``fast``, the default), ``causal`` (exact per-hop arbitration) and ``sfb``
 (single-flit-buffer wormhole).
 """
 
 from repro.network.topology import MeshTopology, Direction
-from repro.network.routing import xy_route, xy_route_arrays, xy_route_nodes
+from repro.network.routing import xy_route, xy_route_nodes
 from repro.network.backend import (
     NetworkBackend,
     PathTiming,
@@ -47,7 +47,6 @@ __all__ = [
     "MeshTopology",
     "Direction",
     "xy_route",
-    "xy_route_arrays",
     "xy_route_nodes",
     "NetworkBackend",
     "PathTiming",

@@ -7,8 +7,8 @@ but differ in how they execute it:
 
 * ``fast``    -- whole-path reservation, one Python loop per packet
   (the reference engine; see :mod:`repro.network.wormhole`);
-* ``batch``   -- round-level vectorised reservation, metric-identical to
-  ``fast`` (see :mod:`repro.network.batch`);
+* ``batch``   -- launch-level reservation in compiled C, metric-identical
+  to ``fast`` (see :mod:`repro.network.batch`);
 * ``causal``  -- one event per hop, exact FIFO-by-arrival arbitration;
 * ``sfb``     -- single-flit-buffer wormhole with chained channel holding.
 

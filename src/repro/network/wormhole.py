@@ -30,8 +30,9 @@ Four backends share this arithmetic (see :mod:`repro.network.backend`):
   fast mode is conservative (over-reports contention) while preserving
   strategy rankings (validated by ``bench_abl_network_mode``).
 * ``batch`` (:mod:`repro.network.batch`, the default) -- the same
-  reservation discipline resolved a traffic round at a time with
-  vectorised routes and per-channel grouping; bit-identical to ``fast``.
+  reservation discipline resolved a whole launch at a time by a
+  compiled kernel (the ``fast`` loop without one); bit-identical to
+  ``fast``.
 * ``causal`` -- one event per hop; channels are reserved exactly when the
   header reaches them, giving exact FIFO-by-arrival arbitration.  Both
   of the above correspond to wormhole switching with buffers deep enough

@@ -192,39 +192,6 @@ class TestParallelEquivalence:
         assert set(again) == set(campaign.points)
 
 
-def _legacy_key(spec: PointSpec) -> str:
-    """The pre-shard cache key format, reconstructed for a spec."""
-    cfg, sc = spec.run_config, spec.scale
-    return "|".join(str(v) for v in (
-        spec.workload, spec.load, spec.alloc, spec.sched, sc.jobs,
-        sc.min_replications, sc.max_replications, sc.trace_max_jobs,
-        spec.network_mode, cfg.width, cfg.length, cfg.topology, cfg.t_s,
-        cfg.p_len, cfg.num_mes, cfg.trace_demand_multiplier,
-        cfg.round_gap_factor, cfg.max_messages, cfg.seed,
-        cfg.scheduler_window, "sdsc",
-    ))
-
-
-class TestLegacyMigration:
-    def test_legacy_keys_translate_to_structured_keys(self):
-        from repro.experiments.store import _translate_legacy_key
-
-        for spec in (_spec(), _spec(workload="real", load=0.05),
-                     _spec(scale=Scale.by_name("paper"), sched="SSD")):
-            assert _translate_legacy_key(_legacy_key(spec)) == spec.key()
-
-    def test_migrated_entries_reachable_via_run_point(self, tmp_path):
-        """A pre-shard results.json keeps serving cache hits unchanged."""
-        spec = _spec()
-        legacy = tmp_path / "c.json"
-        legacy.write_text(json.dumps(
-            {_legacy_key(spec): {m: 1.25 for m in METRICS}}
-        ))
-        out = run_point("uniform", 0.01, "GABL", "FCFS", scale=SMOKE,
-                        config=TINY, cache=ResultCache(legacy))
-        assert out == {m: 1.25 for m in METRICS}  # hit, not re-simulated
-
-
 def _put_range(args) -> int:
     """Concurrent-writer worker: put n distinct keys into a shared dir."""
     cache_dir, start, n = args

@@ -15,6 +15,7 @@ import dataclasses
 
 import pytest
 
+from repro import _cbuild
 from repro.core import soa
 from repro.core import _soa_native as native
 from repro.core.config import PAPER_CONFIG, SimConfig
@@ -168,14 +169,14 @@ class TestLockstepShapes:
         seeds = [1, 2]
         ref = _reference(spec, seeds)
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        native.reset_kernel_cache()
+        _cbuild.reset()
         try:
             assert native.load_kernel() is None
             assert not soa.native_supported(build_simulator(spec, seeds[0]))
             assert_equal_results(ref, _batch(spec, seeds))
         finally:
             monkeypatch.delenv("REPRO_NATIVE")
-            native.reset_kernel_cache()
+            _cbuild.reset()
 
 
 class TestCampaignIntegration:

@@ -1,10 +1,10 @@
 """The ``batch`` backend must be bit-identical to the ``fast`` reference.
 
-The acceptance bar for the vectorised transport backend: identical
+The acceptance bar for the launch-level transport backend: identical
 ``RunResult`` metrics -- exact float equality, not approximate -- across
 stochastic and trace workloads, multiple seeds, multiple allocators,
-mesh and torus, through every solver engine the backend can dispatch to
-(compiled kernel, NumPy fixed-point solver, plain Python loop).
+mesh and torus, through both paths the backend can take (the compiled
+kernel, or the ``fast`` reference loop when no kernel is loaded).
 """
 
 import dataclasses
@@ -17,6 +17,7 @@ from repro.core.config import SimConfig
 from repro.core.engine import Engine
 from repro.core.simulator import Simulator
 from repro.experiments.campaign import Scale, make_workload
+from repro import _cbuild
 from repro.mesh.geometry import Coord
 from repro.network import _native
 from repro.network.backend import make_backend
@@ -84,12 +85,12 @@ class TestRunLevelEquivalence:
     @pytest.mark.parametrize("native", [True, False])
     def test_non_dyadic_timing_constants(self, native, monkeypatch):
         """A t_s off the dyadic grid (0.3 is not exactly representable)
-        must not break bit-identity: the kernel and the reference loop
-        share the exact operation order, and the NumPy solver -- whose
-        reassociated arithmetic would drift -- refuses to dispatch."""
+        must not break bit-identity: the kernel performs the reference
+        loop's exact operations in its exact order, so no float
+        configuration can make the two drift."""
         if not native:
             monkeypatch.setenv("REPRO_NATIVE", "0")
-            _native.reset_kernel_cache()
+            _cbuild.reset()
         try:
             cfg = SMALL.with_(t_s=0.3)
             assert_identical(
@@ -98,7 +99,7 @@ class TestRunLevelEquivalence:
             )
         finally:
             if not native:
-                _native.reset_kernel_cache()
+                _cbuild.reset()
 
 
 def launch_pair(n: int, messages: int, seeds: int, solver: str):
@@ -109,11 +110,11 @@ def launch_pair(n: int, messages: int, seeds: int, solver: str):
     batch = make_backend("batch", topo, Engine())
     if solver == "native":
         if batch._kernel is None:
-            pytest.skip("no C compiler available")
+            pytest.skip("no compiled kernel available")
     else:
+        # the portable path: launches run through the fast reference loop
         batch._kernel = None
-        # force the requested fallback engine
-        batch.NUMPY_MIN_PACKETS = 0 if solver == "numpy" else 10 ** 9
+        batch.reset()
     rng = np.random.default_rng(seeds)
     now = 0.0
     for _ in range(seeds % 3 + 2):
@@ -129,17 +130,18 @@ def launch_pair(n: int, messages: int, seeds: int, solver: str):
 
 
 class TestLaunchLevelEquivalence:
-    """Every solver engine agrees with the reference, channel-for-channel."""
+    """Both launch paths agree with the reference, channel-for-channel."""
 
-    @pytest.mark.parametrize("solver", ["native", "numpy", "python"])
+    @pytest.mark.parametrize("solver", ["native", "portable"])
     @pytest.mark.parametrize("n,messages", [(2, 1), (5, 3), (24, 7), (40, 12)])
     def test_engines_match_reference(self, solver, n, messages):
         launch_pair(n, messages, seeds=n + messages, solver=solver)
 
-    def test_numpy_solver_handles_contended_launch(self):
-        """Dense all-to-all with overlapping rounds exercises multi-sweep
-        convergence of the fixed-point solver."""
-        launch_pair(48, 9, seeds=1, solver="numpy")
+    @pytest.mark.parametrize("solver", ["native", "portable"])
+    def test_contended_launch_matches_reference(self, solver):
+        """Dense all-to-all with overlapping rounds: heavy contention on
+        shared channels across rounds."""
+        launch_pair(48, 9, seeds=1, solver=solver)
 
 
 class TestTrivialChannelEquivalence:
@@ -236,18 +238,19 @@ class TestWorkloadStreamIsolation:
 class TestNativeGating:
     def test_disable_via_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        _native.reset_kernel_cache()
+        _cbuild.reset()
         try:
             backend = BatchBackend(MeshTopology(4, 4), Engine())
             assert backend._kernel is None
+            assert isinstance(backend.free_at, list)  # the fast loop's table
             coords = [Coord(0, 0), Coord(1, 0), Coord(2, 0)]
             stats = backend.inject_rounds(
                 coords, destination_offsets(3, 2), 0.0, 16.0
             )
             assert stats.packets == 6
         finally:
-            _native.reset_kernel_cache()
+            _cbuild.reset()
 
     def test_kernel_memoised(self):
-        _native.reset_kernel_cache()
+        _cbuild.reset()
         assert _native.load_kernel() is _native.load_kernel()

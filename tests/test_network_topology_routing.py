@@ -124,40 +124,3 @@ class TestRouteNodes:
 
     def test_hops(self):
         assert route_hops(Coord(0, 0), Coord(3, 4)) == 7
-
-
-class TestRouteArrays:
-    """The vectorised route generator must match xy_route hop-for-hop."""
-
-    @pytest.mark.parametrize("wrap", [False, True])
-    @pytest.mark.parametrize("dims", [(8, 8), (16, 22), (1, 9), (5, 1)])
-    def test_all_pairs_match_scalar_routes(self, wrap, dims):
-        import numpy as np
-
-        from repro.network.routing import xy_route_arrays
-
-        topo = MeshTopology(*dims, wrap=wrap)
-        w = topo.width
-        pairs = [
-            (s, d)
-            for s in range(topo.node_count)
-            for d in range(topo.node_count)
-            if s != d
-        ]
-        src = np.array([s for s, _ in pairs])
-        dst = np.array([d for _, d in pairs])
-        chan, off = xy_route_arrays(topo, src, dst)
-        for p, (s, d) in enumerate(pairs):
-            expected = xy_route(
-                topo, Coord(s % w, s // w), Coord(d % w, d // w)
-            )
-            got = chan[off[p]:off[p + 1]].tolist()
-            assert got == expected, (s, d, wrap, dims)
-
-    def test_empty_input(self):
-        import numpy as np
-
-        from repro.network.routing import xy_route_arrays
-
-        chan, off = xy_route_arrays(MeshTopology(4, 4), np.array([]), np.array([]))
-        assert len(chan) == 0 and off.tolist() == [0]

@@ -19,6 +19,7 @@ from concurrent import futures
 import numpy as np
 import pytest
 
+from repro import _cbuild
 from repro.core import _soa_native
 from repro.core.config import SimConfig
 from repro.experiments.campaign import (
@@ -105,9 +106,7 @@ class TestThreadEquivalence:
         # REPRO_NATIVE=0: the thread executor must still be exact over
         # the interleaved-reference fallback (GIL-bound, but correct)
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        _soa_native.reset_kernel_cache()
-        network_native.reset_kernel_cache()
-        workload_native.reset_kernel_cache()
+        _cbuild.reset()
         try:
             campaign = Campaign([
                 PointSpec(workload="uniform", load=0.05, alloc=a, sched="SSD",
@@ -124,9 +123,7 @@ class TestThreadEquivalence:
             assert _keyed(serial) == _keyed(threaded)
         finally:
             monkeypatch.delenv("REPRO_NATIVE")
-            _soa_native.reset_kernel_cache()
-            network_native.reset_kernel_cache()
-            workload_native.reset_kernel_cache()
+            _cbuild.reset()
 
     def test_auto_kind_falls_back_for_reference_engine(self, tmp_path):
         # auto-selection (executor_kind=None) on a reference-engine
@@ -199,19 +196,19 @@ class TestSharedStateThreadSafety:
         network_native, _soa_native, workload_native,
     ))
     def test_compile_once_under_concurrent_first_use(self, module, monkeypatch):
-        # hammer the lazy kernel load from N threads after a cache
-        # reset: the double-checked KERNEL_LOCK must admit exactly one
-        # build, and every thread sees the same kernel object
+        # hammer one loader's lazy first use from N threads after a
+        # reset: the double-checked build lock must admit exactly one
+        # build, and every thread sees the same library object
         builds = []
         barrier = threading.Barrier(8)
-        real_build = module._build
+        real_build = _cbuild._build
 
-        def counting_build():
-            builds.append(threading.get_ident())
-            return real_build()
+        def counting_build(spec):
+            builds.append(spec.name)
+            return real_build(spec)
 
-        monkeypatch.setattr(module, "_build", counting_build)
-        module.reset_kernel_cache()
+        monkeypatch.setattr(_cbuild, "_build", counting_build)
+        _cbuild.reset()
         try:
             def worker():
                 barrier.wait()
@@ -224,14 +221,63 @@ class TestSharedStateThreadSafety:
                 ]
             if os.environ.get("REPRO_NATIVE") == "0":
                 # disabled: the loader memoises None without building
-                assert len(builds) == 0
+                assert builds == []
                 assert all(k is None for k in kernels)
             else:
                 assert len(builds) == 1
                 assert all(k is kernels[0] for k in kernels)
         finally:
             monkeypatch.undo()
-            module.reset_kernel_cache()
+            _cbuild.reset()
+
+    def test_one_build_per_library_under_concurrent_first_use(
+        self, monkeypatch,
+    ):
+        # hammer first use of all three loaders from N threads after a
+        # reset: the double-checked build lock must admit exactly one
+        # build per library -- the lane library and the draw helper --
+        # network and SoA must share the one lane library, and
+        # REPRO_NATIVE=0 must build nothing
+        builds = []
+        real_build = _cbuild._build
+
+        def counting_build(spec):
+            builds.append(spec.name)
+            return real_build(spec)
+
+        def hammer():
+            builds.clear()
+            _cbuild.reset()
+            barrier = threading.Barrier(8)
+
+            def worker():
+                barrier.wait()
+                return (network_native.load_kernel(),
+                        _soa_native.load_kernel(),
+                        workload_native.load_kernel())
+
+            with futures.ThreadPoolExecutor(8) as pool:
+                return [
+                    f.result()
+                    for f in [pool.submit(worker) for _ in range(8)]
+                ]
+
+        monkeypatch.setattr(_cbuild, "_build", counting_build)
+        try:
+            if os.environ.get("REPRO_NATIVE") != "0":
+                loaded = hammer()
+                assert sorted(builds) == ["draws", "lane"]
+                first = loaded[0]
+                assert all(a is b for triple in loaded
+                           for a, b in zip(triple, first))
+                assert first[0] is first[1]  # one lane library
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+            loaded = hammer()
+            assert builds == []
+            assert all(k is None for triple in loaded for k in triple)
+        finally:
+            monkeypatch.undo()
+            _cbuild.reset()
 
 
 class TestNativeDrawHelper:
@@ -255,12 +301,12 @@ class TestNativeDrawHelper:
         workload = StochasticWorkload(TINY, load=0.05, sides="uniform")
         native_blk = next(workload.blocks(5, count=128))
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        workload_native.reset_kernel_cache()
+        _cbuild.reset()
         try:
             fallback_blk = next(workload.blocks(5, count=128))
         finally:
             monkeypatch.delenv("REPRO_NATIVE")
-            workload_native.reset_kernel_cache()
+            _cbuild.reset()
         np.testing.assert_array_equal(native_blk.arrival, fallback_blk.arrival)
         np.testing.assert_array_equal(native_blk.width, fallback_blk.width)
         np.testing.assert_array_equal(native_blk.length, fallback_blk.length)
