@@ -45,7 +45,7 @@ from typing import Sequence
 
 from repro import __version__
 from repro.core.config import ENGINES, NETWORK_MODES, PAPER_CONFIG
-from repro.experiments.campaign import Campaign
+from repro.experiments.campaign import EXECUTOR_KINDS, Campaign
 from repro.experiments.figures import FIGURES
 from repro.experiments.report import ascii_plot, format_figure, summarize_point
 from repro.experiments.runner import SCALES, default_scale, run_figure, run_point
@@ -57,12 +57,12 @@ from repro.workload.transforms import SpecError
 #: per-target contracts: report schema written by --out and exit codes.
 #: Shown in --help (and audited by tests/test_cli.py): every target that
 #: writes a report names its schema here, and every nonzero exit is
-#: documented.  Report schemas: 1 = pre-1.3 scenario reports (no point
-#: keys; rejected by diff), 2 = point keys + replication summaries,
-#: 3 = current (embedded trajectory series + saturation block).
+#: documented.  Every writer emits report schema 3, the only schema
+#: diff and plot read.
 _TARGET_CONTRACTS = """\
-targets and their contracts (report schemas: 1 legacy, 2 keys+stats,
-3 current = 2 + embedded trajectory series + saturation block):
+targets and their contracts (report schema 3 = point keys + replication
+stats + embedded trajectory series + saturation block; diff and plot
+reject older schemas):
 
   fig2..fig16, all   regenerate paper figures as text tables.
                      exit 0 done; 2 unknown target/bad arguments.
@@ -82,8 +82,8 @@ targets and their contracts (report schemas: 1 legacy, 2 keys+stats,
                      with a saturation block under --auto-saturation).
                      exit 0 done; 2 bad scenario file.
   diff A.json B.json statistical comparison of two --out reports
-                     (schemas 2 and 3 readable; --trajectories needs
-                     schema-3 embedded series).  --out writes a
+                     (schema 3 only; --trajectories compares the
+                     embedded series).  --out writes a
                      schema-3 diff report.  a strict-subset grid (an
                      in-progress campaign) aligns on the intersection
                      with a warning; an empty side warns and exits 0
@@ -93,7 +93,7 @@ targets and their contracts (report schemas: 1 legacy, 2 keys+stats,
                      diverged trajectory) under --fail-on-regress;
                      2 malformed/old-schema reports or disjoint
                      non-empty grids.
-  plot REPORT.json   ASCII charts of a schema-2/3 report (trajectory
+  plot REPORT.json   ASCII charts of a schema-3 report (trajectory
                      series and per-load sweep curves); --compare
                      overlays a second report, --png adds a PNG when
                      matplotlib is importable.  with --follow the
@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
+        choices=EXECUTOR_KINDS,
         default=None,
         help="parallel backend for -j N: thread (in-process workers; the "
         "compiled SoA driver releases the GIL so lanes run concurrently "
@@ -681,6 +681,7 @@ def _run_auto_saturation_figures(
         figure, scan, points = run_saturation_figure(
             fig_id, scale=scale, config=config,
             network_mode=args.network_mode, trace=trace, jobs=args.jobs,
+            executor=args.executor,
         )
         dt = time.perf_counter() - t0
         print(scan.format())
@@ -904,7 +905,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             from repro.experiments.claims import verify_all
 
             report = verify_all(scale=scale, network_mode=args.network_mode,
-                                jobs=args.jobs)
+                                jobs=args.jobs, executor=args.executor)
             print(report.format())
             if not report.passed:
                 return 1

@@ -13,10 +13,11 @@ of every other.  This module turns that grid into an explicit *campaign*:
   between figures (the uniform sweep feeds Figs. 3, 6, 9, 12 and 15 but
   is simulated once), and executes replications through a pluggable
   executor;
-* :class:`SerialExecutor` / :class:`ThreadPoolExecutor` /
-  :class:`ProcessPoolExecutor` -- in-process serial, in-process
-  thread-parallel and multi-process execution backends.  Replication
-  seeds are a pure function of the spec
+* :func:`make_executor` -- the one factory turning ``jobs`` plus an
+  executor kind (or auto) into an executor: the inline
+  :class:`SerialExecutor`, or a stdlib thread or process pool.  Every
+  executor runs the same work unit, ``(spec, seeds)`` -> metric dicts in
+  seed order.  Replication seeds are a pure function of the spec
   (``config.seed + replication_index``), never of worker state or
   dispatch order, so serial, thread and process runs of the same
   campaign produce **identical** metrics.
@@ -25,7 +26,8 @@ The replication loop is *batched* (see
 :class:`repro.stats.ReplicationController`): each uncached point first
 submits its ``min_replications`` seeds, the CI stopping rule is checked
 on the collected batch, and unconverged points submit further seeds
-round by round.
+round by round.  SoA-engine points send a whole batch as one lockstep
+task; reference-engine points send one task per seed.
 
 Work is dispatched from a single queue in **longest-estimated-first**
 order (:class:`_CostModel`): a point's cost is estimated up front from
@@ -39,9 +41,10 @@ lane-driver event loop (see :mod:`repro.core._soa_native`), so lanes of
 different points genuinely run in parallel while sharing one in-process
 :class:`~repro.workload.columnar.BlockCache`, parse-once trace columns
 and the result store -- no worker startup, no pickling, no per-worker
-re-parsing.  Batch futures hand back the engine's ``RunResult`` values
-directly (for native lanes, built straight from ``LaneState.result()``
-arrays), and finished points persist through the store's coalesced
+re-parsing.  Tasks never carry an external trace: a work unit resolves
+it from its spec's ``trace_source`` fingerprint, registered by the
+campaign in its own process and by the pool initializer in worker
+processes.  Finished points persist through the store's coalesced
 :meth:`~repro.experiments.store.ResultCache.put_many` path -- one fsync
 per drained batch, not one per point.
 """
@@ -58,7 +61,7 @@ import time
 from collections.abc import Mapping as _MappingABC
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.alloc import make_allocator
 from repro.core import _soa_native
@@ -92,9 +95,9 @@ METRICS = (
     "contiguity_rate",
 )
 
-#: version of the stored / reported point-result payload (schema 1 was a
-#: bare ``{metric: mean}`` dict, still readable; schema 2 adds the
-#: replication summaries the diff subsystem needs)
+#: version of the stored / reported point-result payload: the metric
+#: means plus the replication summaries the diff subsystem needs (a
+#: shard in any other format is a cache miss, see :func:`cached_result`)
 RESULT_SCHEMA = 2
 
 
@@ -167,23 +170,26 @@ class PointResult(_MappingABC):
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "PointResult":
-        """Adopt a store/report payload, current or legacy.
+        """Adopt a current (schema-``RESULT_SCHEMA``) store/report payload.
 
-        Legacy (schema-1) payloads are bare mean dicts: they load with
-        empty ``stats`` and ``replications=0`` ("unknown"), and the diff
-        subsystem falls back to mean-only classification for them.
+        Raises:
+            ValueError: ``payload`` is not a current payload (another
+                schema, non-mapping ``means``, malformed summaries).
         """
-        if "means" not in payload:
-            return cls(means={k: float(v) for k, v in payload.items()})
-        return cls(
-            means={k: float(v) for k, v in payload["means"].items()},
-            stats={
-                k: MetricSummary.from_dict(v)
-                for k, v in payload.get("stats", {}).items()
-            },
-            replications=int(payload.get("replications", 0)),
-            converged=bool(payload.get("converged", True)),
-        )
+        if payload.get("schema") != RESULT_SCHEMA:
+            raise ValueError(f"not a schema-{RESULT_SCHEMA} point payload")
+        try:
+            return cls(
+                means={k: float(v) for k, v in payload["means"].items()},
+                stats={
+                    k: MetricSummary.from_dict(v)
+                    for k, v in payload.get("stats", {}).items()
+                },
+                replications=int(payload.get("replications", 0)),
+                converged=bool(payload.get("converged", True)),
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed point payload: {exc!r}") from None
 
     def to_payload(self) -> dict:
         """JSON-serializable form (the store/report value)."""
@@ -194,6 +200,22 @@ class PointResult(_MappingABC):
             "replications": self.replications,
             "converged": self.converged,
         }
+
+
+def cached_result(store: ResultCache, key: str) -> PointResult | None:
+    """The stored result for ``key``, or ``None`` on a cache miss.
+
+    A shard whose value is not a current payload (a schema-1 bare mean
+    dict, another schema, malformed summaries) is a miss too: the
+    campaign recomputes the point and overwrites the shard.
+    """
+    payload = store.get(key)
+    if payload is None:
+        return None
+    try:
+        return PointResult.from_payload(payload)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -424,6 +446,19 @@ class PointSpec:
         )
 
 
+#: external traces resolvable by content fingerprint (the ``trace_source``
+#: every spec already carries).  A campaign registers its trace here in
+#: its own process; worker processes register it once through the pool
+#: initializer (:func:`make_executor`), so tasks never carry a trace.
+#: Like the SDSC trace memo, entries live for the process.
+_TRACES: dict[str, list[TraceJob]] = {}
+
+
+def _register_trace(fingerprint: str, trace: list[TraceJob]) -> None:
+    """Make ``trace`` resolvable under ``fingerprint`` (pool initializer)."""
+    _TRACES[fingerprint] = trace
+
+
 def build_simulator(
     spec: PointSpec,
     seed: int,
@@ -432,12 +467,15 @@ def build_simulator(
 ) -> Simulator:
     """The ONE place a point spec becomes a runnable simulator.
 
-    Both the campaign work unit (:func:`run_spec_replication`) and the
-    scenario trajectory runner build through here, so every spec field
-    that affects the run (config, window, network mode, workload
-    pipeline) is plumbed exactly once.
+    Both the campaign work unit and the scenario trajectory runner build
+    through here, so every spec field that affects the run (config,
+    window, network mode, workload pipeline, external trace) is plumbed
+    exactly once.  Without an explicit ``trace``, an external trace is
+    resolved from the spec's ``trace_source`` fingerprint.
     """
     cfg = spec.run_config
+    if trace is None:
+        trace = _TRACES.get(spec.trace_source)
     return Simulator(
         cfg,
         make_allocator(spec.alloc, cfg.width, cfg.length),
@@ -452,37 +490,13 @@ def build_simulator(
 def run_spec_replication(
     spec: PointSpec, seed: int, trace: Sequence[TraceJob] | None = None
 ) -> dict[str, float]:
-    """Execute ONE replication of a point; the process-pool work unit.
+    """Execute ONE replication of a point on the reference engine.
 
-    Module-level (hence picklable) and a pure function of its arguments:
-    every simulation input, including the seed, comes from the task, so
-    any worker computes the same answer.
+    A pure function of its arguments: every simulation input, including
+    the seed, comes from the call, so any worker computes the same answer.
     """
     result = build_simulator(spec, seed, trace=trace).run()
     return {m: result.metric(m) for m in METRICS}
-
-
-def run_spec_batch_results(
-    spec: PointSpec,
-    seeds: Sequence[int],
-    trace: Sequence[TraceJob] | None = None,
-) -> list:
-    """Execute a whole replication batch of a point in lockstep.
-
-    The ``engine="soa"`` work unit: the batch advances through
-    :func:`repro.core.soa.run_point_batch` (compiled lanes when the
-    point's strategies are covered, interleaved reference runs
-    otherwise).  Returns the engine's ``RunResult`` objects in seed
-    order -- for native lanes those are built straight from
-    ``LaneState.result()`` arrays, and in-process executors hand them
-    back to the drain loop without any payload-dict round trip.
-    """
-    return run_point_batch(
-        lambda seed, observers=(): build_simulator(
-            spec, seed, trace=trace, observers=observers
-        ),
-        seeds,
-    )
 
 
 def run_spec_batch(
@@ -490,195 +504,49 @@ def run_spec_batch(
     seeds: Sequence[int],
     trace: Sequence[TraceJob] | None = None,
 ) -> list[dict[str, float]]:
-    """Dict form of :func:`run_spec_batch_results` (the picklable
-    process-pool work unit).  Results are in seed order and
+    """Execute a whole replication batch of a point in lockstep.
+
+    The batch advances through :func:`repro.core.soa.run_point_batch`
+    (compiled lanes when the point's strategies are covered, interleaved
+    reference runs otherwise).  Results are in seed order and
     bit-identical to ``[run_spec_replication(spec, s, trace) for s in
-    seeds]``."""
-    results = run_spec_batch_results(spec, seeds, trace)
+    seeds]``.
+    """
+    results = run_point_batch(
+        lambda seed, observers=(): build_simulator(
+            spec, seed, trace=trace, observers=observers
+        ),
+        seeds,
+    )
     return [{m: r.metric(m) for m in METRICS} for r in results]
 
 
-#: task-trace marker prefix: fetch the external trace from the worker
-#: process's registry under the fingerprint after the ``:`` (shipped once
-#: per worker -- by fork inheritance or the pool initializer -- not
-#: pickled into every task)
-_TRACE_FROM_INITIALIZER = "@trace"
-
-#: per-process registry of external traces, keyed by
-#: :func:`trace_fingerprint`.  Populated in the parent before a fork
-#: start (children inherit it, so the initializer is skipped) or by
-#: :func:`_set_worker_trace` under spawn.
-_WORKER_TRACES: dict[str, list[TraceJob]] = {}
-
-
-def _set_worker_trace(
-    fingerprint: str, trace: Sequence[TraceJob] | None
-) -> None:
-    """Pool initializer: register an external trace under its fingerprint."""
-    if trace is not None:
-        _WORKER_TRACES[fingerprint] = list(trace)
-
-
-def _trace_marker(trace: Sequence[TraceJob]) -> str:
-    return f"{_TRACE_FROM_INITIALIZER}:{trace_fingerprint(trace)}"
-
-
-def _resolve_task_trace(
-    trace: Sequence[TraceJob] | str | None,
-) -> Sequence[TraceJob] | None:
-    """Turn a task's trace field into the actual trace (or ``None``)."""
-    if not isinstance(trace, str):
-        return trace
-    fingerprint = trace.partition(":")[2]
-    resolved = _WORKER_TRACES.get(fingerprint)
-    if resolved is None:
-        raise RuntimeError(
-            f"worker has no registered trace for {fingerprint!r}; "
-            "the pool initializer did not run"
-        )
-    return resolved
-
-
-def _run_task(
-    task: tuple[PointSpec, int, Sequence[TraceJob] | str | None],
-) -> dict[str, float]:
-    spec, seed, trace = task
-    return run_spec_replication(spec, seed, _resolve_task_trace(trace))
-
-
-#: inflight-map marker for a whole-batch (lockstep) task
-_BATCH = "__batch__"
-
-
-def _run_batch_task(
-    task: tuple[PointSpec, tuple[int, ...], Sequence[TraceJob] | str | None],
-) -> list[dict[str, float]]:
-    spec, seeds, trace = task
-    return run_spec_batch(spec, seeds, _resolve_task_trace(trace))
-
-
-def _run_task_raw(task: tuple[PointSpec, int, Sequence[TraceJob] | None]):
-    """Zero-copy work unit for in-process executors: the ``RunResult``
-    itself, no metric-dict materialisation in the worker."""
-    spec, seed, trace = task
-    return build_simulator(spec, seed, trace=trace).run()
-
-
-def _run_batch_task_raw(
-    task: tuple[PointSpec, tuple[int, ...], Sequence[TraceJob] | None],
-) -> list:
-    """Zero-copy batch work unit (see :func:`run_spec_batch_results`)."""
-    spec, seeds, trace = task
-    return run_spec_batch_results(spec, seeds, trace)
+def _run_seeds(spec: PointSpec, seeds: Sequence[int]) -> list[dict[str, float]]:
+    """The campaign work unit: ``(spec, seeds)`` -> metric dicts in seed
+    order.  SoA points run the batch in lockstep; reference points are
+    submitted one seed per task."""
+    if spec.run_config.engine == "soa":
+        return run_spec_batch(spec, seeds)
+    return [run_spec_replication(spec, seed) for seed in seeds]
 
 
 # ---------------------------------------------------------------- executors
-class Executor(Protocol):
-    """Minimal future-based task interface the campaign engine needs."""
+class SerialExecutor(futures.Executor):
+    """Run each task inline, inside :meth:`submit` (the ``-j 1`` default).
 
-    jobs: int
-
-    def submit(self, fn: Callable, task) -> futures.Future:
-        """Schedule ``fn(task)``; the future resolves to its result."""
-        ...
-
-    def close(self) -> None:
-        """Release any worker resources (idempotent)."""
-        ...
-
-
-class SerialExecutor:
-    """Run tasks in-process, one at a time (the default).
-
-    ``submit`` executes the task immediately and returns an
-    already-resolved future, so the campaign's drain loop observes the
-    same completion protocol as with a pool.
+    The returned future is already resolved, so the campaign's drain
+    loop observes the same completion protocol as with a pool; ``map``
+    and the context manager come from :class:`concurrent.futures.Executor`.
     """
 
-    jobs = 1
-
-    def submit(self, fn: Callable, task) -> futures.Future:
-        """Run ``fn(task)`` now; return the already-resolved future."""
+    def submit(self, fn: Callable, /, *args, **kwargs) -> futures.Future:
+        """Run ``fn(*args, **kwargs)`` now; return the resolved future."""
         fut: futures.Future = futures.Future()
         try:
-            fut.set_result(fn(task))
+            fut.set_result(fn(*args, **kwargs))
         except Exception as exc:  # surfaced by fut.result();
             fut.set_exception(exc)  # KeyboardInterrupt propagates now
         return fut
-
-    def close(self) -> None:
-        """Nothing to release for in-process execution."""
-
-
-class ThreadPoolExecutor:
-    """Fan tasks out over ``jobs`` in-process worker threads.
-
-    The GIL-free fast path: when a point runs on the compiled SoA lane
-    driver, the whole per-batch event loop executes inside one ctypes
-    call, and ctypes releases the GIL for the duration of every foreign
-    call (:mod:`repro.core._soa_native`'s GIL-release contract).  Lanes
-    of different points therefore run genuinely in parallel while
-    sharing the process's :class:`~repro.workload.columnar.BlockCache`,
-    parse-once trace columns and result store -- no worker startup, no
-    pickling, no per-worker re-parsing.  Pure-Python (reference-engine)
-    tasks still time-share the GIL under this executor; the campaign's
-    executor auto-selection only defaults to threads when the native
-    driver can actually carry the work.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError(f"ThreadPoolExecutor needs jobs >= 1, got {jobs}")
-        self.jobs = jobs
-        self._pool: futures.ThreadPoolExecutor | None = None
-
-    def submit(self, fn: Callable, task) -> futures.Future:
-        """Submit ``fn(task)`` to the pool (started lazily on first use)."""
-        if self._pool is None:
-            self._pool = futures.ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="repro-campaign"
-            )
-        return self._pool.submit(fn, task)
-
-    def close(self) -> None:
-        """Shut the pool down (a later submit would restart it)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
-class ProcessPoolExecutor:
-    """Fan tasks out over ``jobs`` worker processes.
-
-    A thin adapter around :class:`concurrent.futures.ProcessPoolExecutor`
-    that starts its workers lazily.  ``initializer``/``initargs`` run
-    once per worker process (the campaign uses them to ship an external
-    trace once instead of pickling it into every task)."""
-
-    def __init__(self, jobs: int, initializer: Callable | None = None,
-                 initargs: tuple = ()) -> None:
-        if jobs < 2:
-            raise ValueError("ProcessPoolExecutor needs jobs >= 2; use SerialExecutor")
-        self.jobs = jobs
-        self._initializer = initializer
-        self._initargs = initargs
-        self._pool: futures.ProcessPoolExecutor | None = None
-
-    def submit(self, fn: Callable, task) -> futures.Future:
-        """Submit ``fn(task)`` to the pool (started lazily on first use)."""
-        if self._pool is None:
-            self._pool = futures.ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
-        return self._pool.submit(fn, task)
-
-    def close(self) -> None:
-        """Shut the pool down (a later submit would restart it)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
 
 #: the valid ``--executor`` choices (``None`` means auto-select)
@@ -699,16 +567,21 @@ def make_executor(
     jobs: int,
     kind: str | None = None,
     specs: Iterable[PointSpec] = (),
-) -> Executor:
-    """Build the executor for a campaign run.
+    trace: Sequence[TraceJob] | None = None,
+) -> futures.Executor:
+    """The ONE place ``jobs`` plus an executor kind become an executor.
 
     ``kind`` is one of :data:`EXECUTOR_KINDS` or ``None`` for
     auto-selection: serial when ``jobs <= 1``, otherwise **thread**
     when the native SoA driver is available and every spec in ``specs``
-    runs on it (the GIL-released fast path), falling back to
-    **process** for GIL-bound reference-engine work.  An explicit
-    ``kind`` is honoured verbatim, except that a process pool cannot
-    run with fewer than two workers and degrades to serial.
+    runs on it (ctypes releases the GIL for the whole lane-driver event
+    loop, so lanes of different points run in parallel while sharing
+    the process's caches), falling back to **process** for GIL-bound
+    reference-engine work.  An explicit ``kind`` is honoured verbatim,
+    except that a process pool cannot run with fewer than two workers
+    and degrades to serial.  Process workers register the external
+    ``trace`` once each, through the pool initializer, under both the
+    fork and spawn start methods.
     """
     if kind is not None and kind not in EXECUTOR_KINDS:
         raise ValueError(
@@ -726,8 +599,15 @@ def make_executor(
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":
-        return ThreadPoolExecutor(max(1, jobs))
-    return ProcessPoolExecutor(jobs)
+        return futures.ThreadPoolExecutor(
+            max_workers=max(1, jobs), thread_name_prefix="repro-campaign"
+        )
+    if trace is None:
+        return futures.ProcessPoolExecutor(max_workers=jobs)
+    return futures.ProcessPoolExecutor(
+        max_workers=jobs, initializer=_register_trace,
+        initargs=(trace_fingerprint(trace), trace),
+    )
 
 
 # --------------------------------------------------------------- dispatch
@@ -810,6 +690,9 @@ class Campaign:
         #: unique points in first-seen order
         self.points: tuple[PointSpec, ...] = tuple(unique.values())
         self.trace = list(trace) if trace is not None else None
+        if self.trace is not None:
+            # in-process work units resolve the trace by fingerprint
+            _register_trace(trace_fingerprint(self.trace), self.trace)
 
     # ------------------------------------------------------------- builders
     @classmethod
@@ -907,38 +790,9 @@ class Campaign:
             # derivation into the parent's (inherited) memo caches
             next(workload.blocks(spec.run_config.seed, 8), None)
 
-    def _process_pool(
-        self, jobs: int, specs: Iterable[PointSpec]
-    ) -> tuple[Sequence[TraceJob] | str | None, "ProcessPoolExecutor"]:
-        """A process pool plus the per-task trace field to use with it.
-
-        Fork-started workers inherit the parent's parsed state, so the
-        parent primes the trace/column memos up front
-        (:meth:`_prime_fork_state`), registers any external trace in the
-        worker registry, and skips the pool initializer entirely.
-        Spawn-started workers inherit nothing: the external trace ships
-        once per worker via the initializer instead.  Either way tasks
-        carry only a small fingerprint marker, never the trace itself.
-        """
-        fork = multiprocessing.get_start_method() == "fork"
-        if fork:
-            self._prime_fork_state(specs)
-        if self.trace is None:
-            return None, ProcessPoolExecutor(jobs)
-        marker = _trace_marker(self.trace)
-        fingerprint = marker.partition(":")[2]
-        if fork:
-            _WORKER_TRACES[fingerprint] = list(self.trace)
-            return marker, ProcessPoolExecutor(jobs)
-        return marker, ProcessPoolExecutor(
-            jobs, initializer=_set_worker_trace,
-            initargs=(fingerprint, self.trace),
-        )
-
     def run(
         self,
         jobs: int = 1,
-        executor: Executor | None = None,
         cache: ResultCache | None = None,
         progress: Callable[[str], None] | None = None,
         executor_kind: str | None = None,
@@ -970,9 +824,9 @@ class Campaign:
         results: dict[PointSpec, PointResult] = {}
         controllers: dict[PointSpec, ReplicationController] = {}
         for spec in self.points:
-            hit = store.get(spec.key())
+            hit = cached_result(store, spec.key())
             if hit is not None:
-                results[spec] = PointResult.from_payload(hit)
+                results[spec] = hit
             else:
                 controllers[spec] = spec.controller()
         done = len(results)
@@ -985,40 +839,10 @@ class Campaign:
         if not controllers:
             return results
 
-        own_executor = executor is None
-        in_process = False
-        task_trace: Sequence[TraceJob] | str | None = self.trace
-        if executor is not None:
-            exe = executor
-        else:
-            kind = executor_kind
-            if kind is not None and kind not in EXECUTOR_KINDS:
-                raise ValueError(
-                    f"unknown executor {kind!r}; choose from {EXECUTOR_KINDS}"
-                )
-            if kind is None:
-                if jobs <= 1:
-                    kind = "serial"
-                elif _thread_executor_viable(controllers):
-                    kind = "thread"
-                else:
-                    kind = "process"
-            if kind == "process" and jobs < 2:
-                kind = "serial"
-            if kind == "process":
-                task_trace, exe = self._process_pool(jobs, controllers)
-            elif kind == "thread":
-                exe = ThreadPoolExecutor(max(1, jobs))
-                in_process = True
-            else:
-                exe = SerialExecutor()
-                in_process = True
-        # in-process executors skip the payload-dict round trip: tasks
-        # hand back RunResult objects (for native lanes, built straight
-        # from LaneState.result() arrays) and the drain loop reads the
-        # metrics directly.  Process pools keep the picklable dict form.
-        run_batch: Callable = _run_batch_task_raw if in_process else _run_batch_task
-        run_one: Callable = _run_task_raw if in_process else _run_task
+        exe = make_executor(jobs, executor_kind, controllers, self.trace)
+        if (isinstance(exe, futures.ProcessPoolExecutor)
+                and multiprocessing.get_start_method() == "fork"):
+            self._prime_fork_state(controllers)
 
         # completion-driven drain: finished points flush to the store in
         # coalesced batches (one directory fsync per drained round), so
@@ -1029,8 +853,8 @@ class Campaign:
         # window (2x the worker count) has room.
         model = _CostModel()
         pending: list[PointSpec] = list(controllers)
-        window = max(1, exe.jobs) * 2 if exe.jobs > 1 else 1
-        inflight: dict[futures.Future, tuple[PointSpec, int | str]] = {}
+        window = 1 if isinstance(exe, SerialExecutor) or jobs <= 1 else 2 * jobs
+        inflight: dict[futures.Future, tuple[PointSpec, tuple[int, ...]]] = {}
         batch_seeds: dict[PointSpec, tuple[int, ...]] = {}
         batch_got: dict[PointSpec, dict[int, dict[str, float]]] = {}
         batch_started: dict[PointSpec, float] = {}
@@ -1041,32 +865,20 @@ class Campaign:
             batch_seeds[spec] = seeds
             batch_got[spec] = {}
             batch_started[spec] = time.perf_counter()
-            if spec.run_config.engine == "soa":
-                # one lockstep task per batch: the whole seed set
-                # advances together (repro.core.soa)
-                inflight[exe.submit(run_batch, (spec, seeds, task_trace))] = (
-                    spec,
-                    _BATCH,
+            # SoA points advance the whole seed set in one lockstep task
+            # (repro.core.soa); reference points take one task per seed
+            tasks = [seeds] if spec.run_config.engine == "soa" else [
+                (seed,) for seed in seeds
+            ]
+            for task_seeds in tasks:
+                inflight[exe.submit(_run_seeds, spec, task_seeds)] = (
+                    spec, task_seeds,
                 )
-                return
-            for seed in seeds:
-                inflight[exe.submit(run_one, (spec, seed, task_trace))] = (
-                    spec, seed,
-                )
-
-        def as_metrics(result) -> dict[str, float]:
-            if isinstance(result, dict):
-                return result
-            return {m: result.metric(m) for m in METRICS}
 
         def process(fut: futures.Future, resubmit: bool = True) -> None:
             nonlocal done
-            spec, seed = inflight.pop(fut)
-            if seed == _BATCH:
-                for s, r in zip(batch_seeds[spec], fut.result()):
-                    batch_got[spec][s] = as_metrics(r)
-            else:
-                batch_got[spec][seed] = as_metrics(fut.result())
+            spec, seeds = inflight.pop(fut)
+            batch_got[spec].update(zip(seeds, fut.result()))
             if len(batch_got[spec]) < len(batch_seeds[spec]):
                 return
             ctrl = controllers[spec]
@@ -1132,6 +944,5 @@ class Campaign:
                 except BaseException:  # noqa: BLE001 - teardown best-effort
                     continue
             flush()
-            if own_executor:
-                exe.close()
+            exe.shutdown()
         return results

@@ -214,16 +214,21 @@ CHECKS: Sequence[Callable[[Mapping[str, FigureResult]], ClaimResult]] = (
 
 
 def verify_all(
-    scale: str = "smoke", network_mode: str | None = None, jobs: int = 1
+    scale: str = "smoke",
+    network_mode: str | None = None,
+    jobs: int = 1,
+    executor: str | None = None,
 ) -> ClaimReport:
     """Regenerate every figure and evaluate all paper claims.
 
-    ``jobs > 1`` pre-runs the union of all figures' cells as one
-    deduplicated campaign over a process pool; the per-figure
-    regeneration below is then pure cache reads.
+    The union of all figures' cells first runs as one deduplicated
+    campaign on ``jobs`` workers of the ``executor`` kind (``None``
+    auto-selects); the per-figure regeneration below is then pure
+    cache reads.
     """
     Campaign.from_figures(tuple(FIGURES), scale=scale,
-                          network_mode=network_mode).run(jobs=jobs)
+                          network_mode=network_mode).run(
+        jobs=jobs, executor_kind=executor)
     figs = {
         fig_id: run_figure(fig_id, scale=scale, network_mode=network_mode)
         for fig_id in FIGURES

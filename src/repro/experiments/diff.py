@@ -20,9 +20,9 @@ series gates exactly like a regressed mean.
 
 Alignment tolerates grid subsets/supersets: points present on only one
 side are reported, not fatal, so a widened sweep can still be compared
-against an older baseline.  A report written before schema 2 (no
-replication summaries, no point keys) is rejected with a clear error --
-regenerate it with a current ``--out``.
+against an older baseline.  A report in any schema but the current one
+is rejected with a clear error -- regenerate it with a current
+``--out``.
 
 CLI::
 
@@ -55,15 +55,10 @@ from repro.stats.compare import (
 )
 from repro.stats.series import SeriesDiff
 
-#: report schema this differ reads and writes.  Schema 1 = the pre-1.3
-#: scenario reports without point keys or replication summaries
-#: (rejected); schema 2 added point keys + replication summaries;
-#: schema 3 (current) embeds trajectory series per point and an optional
-#: top-level ``saturation`` block.  Schema-2 reports remain readable.
+#: the one report schema this differ reads and writes: point keys,
+#: replication summaries, trajectory series per point and an optional
+#: top-level ``saturation`` block.  Older schemas are rejected.
 REPORT_SCHEMA = 3
-
-#: oldest report schema :func:`parse_report` still accepts
-MIN_REPORT_SCHEMA = 2
 
 
 class DiffError(ValueError):
@@ -116,12 +111,7 @@ def campaign_report(
 
 
 def point_payload(spec: PointSpec, result: PointResult) -> dict:
-    """One point's report entry: identity key + means + summaries.
-
-    Tolerates a plain mean mapping in place of a :class:`PointResult`
-    (then no summaries are embedded and the differ degrades to
-    mean-only classification for the point).
-    """
+    """One point's report entry: identity key + means + summaries."""
     return {
         "key": spec.key(),
         "label": spec.label(),
@@ -130,10 +120,8 @@ def point_payload(spec: PointSpec, result: PointResult) -> dict:
         "alloc": spec.alloc,
         "sched": spec.sched,
         "metrics": dict(result),
-        "stats": {
-            m: s.to_dict() for m, s in getattr(result, "stats", {}).items()
-        },
-        "replications": getattr(result, "replications", 0),
+        "stats": {m: s.to_dict() for m, s in result.stats.items()},
+        "replications": result.replications,
     }
 
 
@@ -146,12 +134,12 @@ class ReportPoint:
     metrics: Mapping[str, float]
     stats: Mapping[str, MetricSummary]
     replications: int
-    #: grid coordinates, when the report carries them (schema >= 2 does)
+    #: grid coordinates, when the report carries them
     workload: str | None = None
     load: float | None = None
     alloc: str | None = None
     sched: str | None = None
-    #: embedded trajectory series (schema 3); empty when none recorded
+    #: embedded trajectory series; empty when none recorded
     trajectory: Mapping[str, list] = field(default_factory=dict)
 
     def summary(self, metric: str) -> MetricSummary:
@@ -172,7 +160,7 @@ class LoadedReport:
     kind: str
     source: str
     points: tuple[ReportPoint, ...]
-    #: the report's saturation-scan block(s), verbatim (schema 3)
+    #: the report's saturation-scan block(s), verbatim
     saturation: Mapping | Sequence | None = None
 
     def by_key(self) -> dict[str, ReportPoint]:
@@ -203,11 +191,11 @@ def parse_report(data, source: str = "<dict>") -> LoadedReport:
             f"{source}: no 'schema' field -- this report predates "
             "repro 1.3; regenerate it with a current --out"
         )
-    if (not isinstance(schema, int) or schema < MIN_REPORT_SCHEMA
-            or schema > REPORT_SCHEMA):
+    if not isinstance(schema, int) or schema != REPORT_SCHEMA:
         raise DiffError(
             f"{source}: unsupported report schema {schema!r} (this build "
-            f"reads schemas {MIN_REPORT_SCHEMA}..{REPORT_SCHEMA})"
+            f"reads schema {REPORT_SCHEMA} only; regenerate the report "
+            "with a current --out)"
         )
     raw_points = data.get("points")
     if not isinstance(raw_points, list):

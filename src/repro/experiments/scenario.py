@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent import futures
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -44,13 +43,12 @@ from repro.core.hooks import TrajectoryObserver
 from repro.experiments.campaign import (
     METRICS,
     SCALES,
-    _set_worker_trace,
-    _trace_marker,
     Campaign,
     PointResult,
     PointSpec,
     Scale,
     build_simulator,
+    make_executor,
     trace_fingerprint,
 )
 from repro.experiments.store import ResultCache
@@ -256,17 +254,21 @@ class Scenario:
         and, when ``sample_interval`` is set, collect one trajectory per
         point.
 
-        ``executor`` picks the campaign backend
+        ``executor`` picks the backend
         (:data:`~repro.experiments.campaign.EXECUTOR_KINDS`; ``None``
-        auto-selects, see :meth:`Campaign.run`).  The choice never
-        affects metrics or trajectories.
+        auto-selects, see :meth:`Campaign.run`) for the saturation
+        scan, the campaign and the trajectory runs alike.  The choice
+        never affects metrics or trajectories.
 
         Trajectories are time series, not scalar means, so they are NOT
         persisted in the result store: each ``run`` call re-simulates
-        one replication per point to record them.  With ``jobs > 1``
-        those runs fan out over a worker pool (threads under the
-        ``thread`` executor, processes otherwise) alongside the
-        campaign's own parallelism.
+        one replication per point to record them.  Those runs go
+        through the same executor factory as the campaign
+        (:func:`~repro.experiments.campaign.make_executor`) with
+        ``min(jobs, points)`` workers; a trajectory run carries an
+        observer and never takes the native driver, so auto-selection
+        picks worker processes (``thread`` gives threads, ``serial``
+        runs inline).
 
         With ``auto_saturation=True`` a saturation scan
         (:func:`repro.experiments.trajectory.scan_saturation`) first
@@ -291,6 +293,7 @@ class Scenario:
                 trace=trace,
                 cache=cache,
                 jobs=jobs,
+                executor=executor,
                 start=max(self.loads),
             )
             if progress is not None:
@@ -309,47 +312,18 @@ class Scenario:
         trajectories: dict[str, dict] = {}
         if run_scenario.sample_interval is not None:
             points = campaign.points
-            labels = [spec.label() for spec in points]
-            workers = min(jobs, len(points))
-            if workers > 1 and executor != "serial":
-                task_trace: Sequence[TraceJob] | str | None
-                if executor == "thread":
-                    # in-process: trajectories share the parent's trace
-                    # and caches directly -- no initializer, no pickling
-                    pool: futures.Executor = futures.ThreadPoolExecutor(
-                        max_workers=workers
-                    )
-                    task_trace = trace
-                else:
-                    # ship an external trace once per worker via the
-                    # pool initializer, keyed by its fingerprint (as
-                    # campaign.run does) instead of pickling it into
-                    # every task
-                    has_trace = trace is not None
-                    pool = futures.ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=_set_worker_trace if has_trace else None,
-                        initargs=(
-                            (trace_fingerprint(trace), trace)
-                            if has_trace else ()
-                        ),
-                    )
-                    task_trace = _trace_marker(trace) if has_trace else None
-                run_one = partial(
-                    run_trajectory,
-                    sample_interval=run_scenario.sample_interval,
-                    trace=task_trace,
-                )
-                with pool:
-                    series = list(pool.map(run_one, points))
-            else:
-                series = [
-                    run_trajectory(
-                        spec, run_scenario.sample_interval, trace=trace
-                    )
-                    for spec in points
-                ]
-            trajectories = dict(zip(labels, series))
+            run_one = partial(
+                run_trajectory, sample_interval=run_scenario.sample_interval
+            )
+            # trajectory runs carry an observer and so never take the
+            # native driver: auto-selection means worker processes
+            with make_executor(
+                min(jobs, len(points)), executor or "process", trace=trace
+            ) as pool:
+                series = pool.map(run_one, points)
+                trajectories = {
+                    spec.label(): traj for spec, traj in zip(points, series)
+                }
         return ScenarioResult(
             scenario=run_scenario,
             points=campaign.points,
@@ -362,21 +336,17 @@ class Scenario:
 def run_trajectory(
     spec: PointSpec,
     sample_interval: float,
-    trace: Sequence[TraceJob] | str | None = None,
+    trace: Sequence[TraceJob] | None = None,
 ) -> dict:
     """Re-run one point's first replication with a trajectory observer.
 
     Uses the point's base seed (replication 0), so the time series
     describes the same run whose metrics entered the campaign mean.
     Module-level and pure (like the campaign work unit), hence usable
-    from a process pool; a string ``trace`` is a fingerprint marker
-    resolved against the worker's trace registry, exactly as in
-    :func:`~repro.experiments.campaign._run_task`.
+    from a process pool; without an explicit ``trace``, an external
+    trace resolves from the spec's ``trace_source`` fingerprint (see
+    :func:`~repro.experiments.campaign.build_simulator`).
     """
-    if isinstance(trace, str):  # "@trace:<fingerprint>" marker
-        from repro.experiments import campaign as _campaign
-
-        trace = _campaign._resolve_task_trace(trace)
     cfg = spec.run_config
     observer = TrajectoryObserver(sample_interval, processors=cfg.processors)
     build_simulator(spec, cfg.seed, trace=trace, observers=(observer,)).run()

@@ -46,7 +46,13 @@ from pathlib import Path
 from typing import Mapping
 
 from repro import __version__
-from repro.experiments.campaign import Campaign, PointResult, PointSpec, _CostModel
+from repro.experiments.campaign import (
+    Campaign,
+    PointResult,
+    PointSpec,
+    _CostModel,
+    cached_result,
+)
 from repro.experiments.diff import campaign_report
 from repro.experiments.scenario import Scenario
 from repro.experiments.store import AsyncResultWriter, ResultCache
@@ -254,7 +260,8 @@ class CampaignService:
                 submitted_at=float(payload.get("submitted_at", 0.0)),
             )
             missing = [
-                s for s in campaign.points if self.cache.get(s.key()) is None
+                s for s in campaign.points
+                if cached_result(self.cache, s.key()) is None
             ]
             if not missing:
                 job.state = "done"
@@ -325,9 +332,7 @@ class CampaignService:
         for spec in job.campaign.points:
             hit = known.get(spec)
             if hit is None:
-                payload = self.cache.get(spec.key())
-                if payload is not None:
-                    hit = PointResult.from_payload(payload)
+                hit = cached_result(self.cache, spec.key())
             if hit is not None:
                 completed[spec] = hit
         report = campaign_report(

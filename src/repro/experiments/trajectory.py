@@ -196,6 +196,7 @@ def scan_saturation(
     trace: Sequence[TraceJob] | None = None,
     cache: ResultCache | None = None,
     jobs: int = 1,
+    executor: str | None = None,
     start: float | None = None,
     factor: float = 1.5,
     max_steps: int = 8,
@@ -221,7 +222,10 @@ def scan_saturation(
         network_mode: network backend override.
         trace: external trace for ``real`` sources.
         cache: result store (default: the global sharded cache).
-        jobs: worker processes per rung's replications.
+        jobs: parallel workers per rung's replications.
+        executor: executor kind for each rung
+            (:data:`~repro.experiments.campaign.EXECUTOR_KINDS`; ``None``
+            auto-selects).
         start: ladder anchor load; defaults to the workload's figure
             sweep ceiling (:func:`repro.experiments.figures.sweep_ceiling`)
             and is required for pipeline workloads.
@@ -246,6 +250,7 @@ def scan_saturation(
         result = run_point(
             workload, load, alloc, sched, scale=sc, config=config,
             network_mode=network_mode, cache=cache, trace=trace, jobs=jobs,
+            executor=executor,
         )
         loads.append(load)
         utils.append(result["utilization"])
@@ -277,6 +282,7 @@ def run_saturation_figure(
     trace: Sequence[TraceJob] | None = None,
     cache: ResultCache | None = None,
     jobs: int = 1,
+    executor: str | None = None,
     rel_tol: float = 0.03,
     confirm: int = 2,
 ) -> tuple[FigureResult, SaturationScan, dict[PointSpec, PointResult]]:
@@ -294,7 +300,9 @@ def run_saturation_figure(
         network_mode: network backend override.
         trace: external trace for the real workload.
         cache: result store override.
-        jobs: worker processes.
+        jobs: parallel workers.
+        executor: executor kind for the scan and the knee campaign
+            (``None`` auto-selects).
         rel_tol: plateau flatness tolerance.
         confirm: consecutive flat rungs required.
 
@@ -314,7 +322,7 @@ def run_saturation_figure(
     scan = scan_saturation(
         spec.workload, alloc=alloc, sched=sched, scale=sc, config=config,
         network_mode=network_mode, trace=trace, cache=cache, jobs=jobs,
-        rel_tol=rel_tol, confirm=confirm,
+        executor=executor, rel_tol=rel_tol, confirm=confirm,
     )
     load = scan.knee if scan.knee is not None else SATURATION_LOADS[spec.workload]
     source = trace_fingerprint(trace) if trace is not None else "sdsc"
@@ -327,7 +335,7 @@ def run_saturation_figure(
         for a, s in spec.combos
     ]
     campaign = Campaign(cells, trace=trace)
-    points = campaign.run(jobs=jobs, cache=cache)
+    points = campaign.run(jobs=jobs, cache=cache, executor_kind=executor)
     series = {
         combo_label(a, s): (points[cell][spec.metric],)
         for (a, s), cell in zip(spec.combos, cells)

@@ -9,12 +9,11 @@ import pytest
 from repro.core.config import SimConfig
 from repro.core import _soa_native
 from repro.experiments.campaign import (
+    RESULT_SCHEMA,
     Campaign,
     PointSpec,
-    ProcessPoolExecutor,
     Scale,
     SerialExecutor,
-    ThreadPoolExecutor,
     make_executor,
     run_spec_replication,
     trace_fingerprint,
@@ -110,31 +109,46 @@ class TestCampaignEnumeration:
 
 class TestExecutors:
     def test_make_executor(self):
-        assert isinstance(make_executor(1), SerialExecutor)
+        with make_executor(1) as exe:
+            assert isinstance(exe, SerialExecutor)
         # auto (no spec knowledge): thread when the native SoA driver
         # is available, process otherwise
-        auto = make_executor(4)
-        if _soa_native.load_kernel() is not None:
-            assert isinstance(auto, ThreadPoolExecutor)
-        else:
-            assert isinstance(auto, ProcessPoolExecutor)
-        with pytest.raises(ValueError):
-            ProcessPoolExecutor(1)
+        with make_executor(4) as auto:
+            if _soa_native.load_kernel() is not None:
+                assert isinstance(auto, futures.ThreadPoolExecutor)
+            else:
+                assert isinstance(auto, futures.ProcessPoolExecutor)
 
     def test_make_executor_kinds(self):
-        assert isinstance(make_executor(4, "serial"), SerialExecutor)
-        assert isinstance(make_executor(4, "thread"), ThreadPoolExecutor)
-        assert isinstance(make_executor(4, "process"), ProcessPoolExecutor)
+        kinds = {
+            "serial": SerialExecutor,
+            "thread": futures.ThreadPoolExecutor,
+            "process": futures.ProcessPoolExecutor,
+        }
+        for kind, cls in kinds.items():
+            with make_executor(4, kind) as exe:
+                assert isinstance(exe, cls)
         # a process pool cannot run on one worker: degrades to serial
-        assert isinstance(make_executor(1, "process"), SerialExecutor)
+        with make_executor(1, "process") as exe:
+            assert isinstance(exe, SerialExecutor)
         with pytest.raises(ValueError):
             make_executor(4, "fibers")
 
     def test_auto_prefers_process_for_reference_engine(self):
         # reference-engine points are pure Python (GIL-bound): a thread
         # pool would serialise them, so auto-selection must not pick it
-        exe = make_executor(4, specs=(_spec(),))
-        assert isinstance(exe, ProcessPoolExecutor)
+        with make_executor(4, specs=(_spec(),)) as exe:
+            assert isinstance(exe, futures.ProcessPoolExecutor)
+
+    def test_serial_executor_runs_inline(self):
+        ran = []
+        with SerialExecutor() as exe:
+            fut = exe.submit(ran.append, 1)
+            # resolved before submit returns: the task already ran
+            assert fut.done() and ran == [1]
+            assert list(exe.map(pow, (2, 3), (2, 2))) == [4, 9]
+            failed = exe.submit(int, "not a number")
+        assert isinstance(failed.exception(), ValueError)
 
     def test_worker_function_is_picklable_task(self):
         out = run_spec_replication(_spec(), seed=TINY.seed)
@@ -190,6 +204,33 @@ class TestParallelEquivalence:
         # a fresh run against the warm store simulates nothing and agrees
         again = campaign.run(jobs=1, cache=ResultCache(tmp_path / "c"))
         assert set(again) == set(campaign.points)
+
+
+#: shard values that are not a current point payload
+_MEANS = {m: 1.0 for m in METRICS}
+NON_CURRENT_SHARDS = {
+    "schema-1 bare means": _MEANS,
+    "older schema": {"schema": 1, "means": _MEANS, "replications": 7},
+    "newer schema": {"schema": RESULT_SCHEMA + 1, "means": _MEANS,
+                     "replications": 7},
+    "non-mapping means": {"schema": RESULT_SCHEMA, "means": [1.0, 2.0],
+                          "replications": 7},
+}
+
+
+class TestNonCurrentShards:
+    @pytest.mark.parametrize("value", NON_CURRENT_SHARDS.values(),
+                             ids=NON_CURRENT_SHARDS.keys())
+    def test_recomputed_and_overwritten(self, tmp_path, value):
+        spec = _spec()
+        cache = ResultCache(tmp_path / "stale")
+        cache.put(spec.key(), value)
+        got = Campaign([spec]).run(cache=cache)[spec]
+        clean = Campaign([spec]).run(cache=ResultCache(tmp_path / "clean"))
+        assert got == clean[spec]
+        assert got.replications == 1 and got.stats
+        assert ResultCache(tmp_path / "stale").get(spec.key()) == \
+            got.to_payload()
 
 
 def _put_range(args) -> int:

@@ -128,7 +128,7 @@ _HELP_CONTRACTS = {
         "1 regression",
         "2 malformed/old-schema reports or disjoint",
     ],
-    "plot": ["schema-2/3 report", "2 unreadable report"],
+    "plot": ["schema-3 report", "2 unreadable report"],
     "serve": ["resumes\n                     unfinished jobs", "0 on clean shutdown"],
     "submit": ["--wait polls until done", "2 bad file or unreachable service"],
     "status": ["2 unknown job or unreachable service"],
@@ -158,8 +158,8 @@ def test_help_names_out_schema_for_out_capable_targets(capsys):
     out = capsys.readouterr().out
     # the --out option itself names the current schema
     assert "schema-3" in out
-    # and the schema history is summarised once
-    assert "1 legacy" in out and "2 keys+stats" in out
+    # and the one readable schema is summarised once
+    assert "report schema 3 =" in out and "reject older schemas" in out
 
 
 # ------------------------------------------------------------- plot target

@@ -255,6 +255,14 @@ class TestDiffCLI:
         assert "predates" in capsys.readouterr().err
         assert main(["diff", str(good), str(tmp_path / "gone.json")]) == 2
 
+    def test_schema_two_report_exits_two(self, tmp_path, capsys):
+        good = write(tmp_path, "good.json", make_report([make_point("k")]))
+        doc = make_report([make_point("k")])
+        doc["schema"] = 2
+        old = write(tmp_path, "schema2.json", doc)
+        assert main(["diff", str(good), str(old)]) == 2
+        assert "unsupported report schema 2" in capsys.readouterr().err
+
     def test_disjoint_grids_exit_two(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", make_report([make_point("k1")]))
         b = write(tmp_path, "b.json", make_report([make_point("k2")]))

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.experiments.campaign import PointResult
 from repro.experiments.serve import (
     CampaignService,
     build_campaign,
@@ -87,6 +88,24 @@ class TestDocuments:
             build_campaign({"name": "x"})  # scenario missing keys
         with pytest.raises(ValueError):
             build_campaign([1, 2, 3])
+
+
+class TestNonCurrentShards:
+    @pytest.mark.parametrize("value", [
+        {"mean_turnaround": 1.0},
+        {"schema": 1, "means": {"mean_turnaround": 1.0}},
+        {"schema": 2, "means": [1.0]},
+    ], ids=["schema-1 bare means", "older schema", "non-mapping means"])
+    def test_report_leaves_them_out(self, tmp_path, value):
+        svc = CampaignService(store=tmp_path / "shards")
+        svc.close()  # no worker: the report reads the store alone
+        job = svc.submit(SWEEP_DOC)
+        current, stale = job.campaign.points
+        svc.cache.put(current.key(), PointResult(
+            {"mean_turnaround": 2.0}, replications=1).to_payload())
+        svc.cache.put(stale.key(), value)
+        report = svc.job_report(job.id)
+        assert [p["key"] for p in report["points"]] == [current.key()]
 
 
 class TestServiceEndpoints:
