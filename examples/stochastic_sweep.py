@@ -18,8 +18,9 @@ import argparse
 
 from repro.experiments import (
     Campaign,
-    ascii_plot,
+    ascii_chart,
     default_scale,
+    figure_chart,
     format_figure,
     run_figure,
 )
@@ -42,7 +43,7 @@ def main() -> None:
     print()
     print(format_figure(result))
     print()
-    print(ascii_plot(result))
+    print(ascii_chart(figure_chart(result)))
 
     gabl = result.series_for("GABL", "FCFS")
     paging = result.series_for("Paging(0)", "FCFS")

@@ -39,19 +39,21 @@ derived from each point's spec, never from worker state).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from pathlib import Path
 from typing import Sequence
 
 from repro import __version__
 from repro.core.config import ENGINES, NETWORK_MODES, PAPER_CONFIG
 from repro.experiments.campaign import EXECUTOR_KINDS, Campaign
 from repro.experiments.figures import FIGURES
-from repro.experiments.report import ascii_plot, format_figure, summarize_point
+from repro.experiments.plot import ascii_chart
+from repro.experiments.report import figure_chart, format_figure, summarize_point
 from repro.experiments.runner import SCALES, default_scale, run_figure, run_point
 from repro.network.arq import ARQ_PROTOCOLS
 from repro.workload.swf import load_swf
-from repro.workload.transforms import SpecError
 
 
 #: per-target contracts: report schema written by --out and exit codes.
@@ -387,6 +389,14 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _write_json(path: str | Path, doc: dict, what: str = "report") -> None:
+    """Write one ``--out`` JSON document; every target's writer."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(doc, indent=2))
+    print(f"{what} written to {out}")
+
+
 def _run_scenarios(files: Sequence[str], args, trace) -> int:
     import dataclasses
 
@@ -432,9 +442,6 @@ def _run_scenarios(files: Sequence[str], args, trace) -> int:
         print(result.format())
         print(f"[scenario {scenario.name}: {len(result.points)} points, {dt:.1f}s]")
         if args.out:
-            import json
-            from pathlib import Path
-
             out = Path(args.out)
             if len(files) > 1:
                 # one report per scenario file: a shared --out path would
@@ -442,9 +449,7 @@ def _run_scenarios(files: Sequence[str], args, trace) -> int:
                 out = out.with_name(
                     f"{out.stem}-{scenario.name}{out.suffix or '.json'}"
                 )
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(result.to_dict(), indent=2))
-            print(f"report written to {out}")
+            _write_json(out, result.to_dict())
     return 0
 
 
@@ -470,13 +475,7 @@ def _run_diff(files: Sequence[str], args) -> int:
     for warning in report.warnings():
         print(f"warning: {warning}", file=sys.stderr)
     if args.out:
-        import json
-        from pathlib import Path
-
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report.to_dict(), indent=2))
-        print(f"diff report written to {out}")
+        _write_json(args.out, report.to_dict(), "diff report")
     if not report.matched:
         empty = [r for r in (report.a, report.b) if not r.points]
         if empty and not args.fail_on_regress:
@@ -584,9 +583,6 @@ def _run_serve(args) -> int:
 
 def _run_submit(files: Sequence[str], args) -> int:
     """The ``submit`` target: queue scenario/sweep files on the service."""
-    import json
-    from pathlib import Path
-
     from repro.experiments.service_client import ServiceError, format_job
 
     client = _service_client(args)
@@ -628,9 +624,7 @@ def _run_submit(files: Sequence[str], args) -> int:
             except ServiceError as exc:
                 print(f"submit error: {exc}", file=sys.stderr)
                 return 2
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(report, indent=2))
-            print(f"report written to {out}")
+            _write_json(out, report)
     if failed:
         print(f"FAIL: {failed} job(s) failed", file=sys.stderr)
         return 1
@@ -668,9 +662,6 @@ def _run_auto_saturation_figures(
     fig_targets: Sequence[str], args, scale, config, trace
 ) -> int:
     """Saturation figures under ``--auto-saturation``: scan, run, report."""
-    import json
-    from pathlib import Path
-
     from repro.experiments.diff import campaign_report
     from repro.experiments.trajectory import run_saturation_figure
 
@@ -693,18 +684,15 @@ def _run_auto_saturation_figures(
             )
         print(format_figure(figure))
         if args.plot:
-            print(ascii_plot(figure))
+            print(ascii_chart(figure_chart(figure)))
         print(f"[{fig_id}: scale={scale}, auto-saturation, {dt:.1f}s]\n")
         scans.append({"figure": fig_id, **scan.to_dict()})
         all_points.update(points)
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(campaign_report(
+        _write_json(args.out, campaign_report(
             tuple(all_points), all_points,
             name="auto-saturation", kind="figures", saturation=scans,
-        ), indent=2))
-        print(f"report written to {out}")
+        ))
     return 0
 
 
@@ -733,11 +721,8 @@ def _run_sweep(args, scale, config, trace) -> int:
             network_mode=args.network_mode, trace=trace,
             channels=channels, arqs=arqs,
         )
-    except SpecError as exc:
-        print(f"bad workload spec: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        print(f"bad --channels/--arqs axis: {exc}", file=sys.stderr)
+        print(f"bad sweep parameters: {exc}", file=sys.stderr)
         return 2
     print(f"sweep: {len(campaign.points)} unique points, "
           f"scale={scale}, jobs={args.jobs}")
@@ -750,17 +735,11 @@ def _run_sweep(args, scale, config, trace) -> int:
         print(f"{spec.label()}: {summarize_point(results[spec])}")
     print(f"[sweep: {len(campaign.points)} points, {dt:.1f}s]")
     if args.out:
-        import json
-        from pathlib import Path
-
         from repro.experiments.diff import campaign_report
 
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(
-            campaign_report(campaign.points, results, name="sweep"), indent=2
+        _write_json(args.out, campaign_report(
+            campaign.points, results, name="sweep",
         ))
-        print(f"report written to {out}")
     return 0
 
 
@@ -904,8 +883,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if target == "claims":
             from repro.experiments.claims import verify_all
 
-            report = verify_all(scale=scale, network_mode=args.network_mode,
-                                jobs=args.jobs, executor=args.executor)
+            report = verify_all(
+                scale=scale, network_mode=args.network_mode, jobs=args.jobs,
+                executor=args.executor, config=config, trace=trace,
+            )
             print(report.format())
             if not report.passed:
                 return 1
@@ -927,7 +908,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     network_mode=args.network_mode, trace=trace,
                     jobs=args.jobs, executor=args.executor,
                 )
-            except (SpecError, KeyError) as exc:
+            except ValueError as exc:
                 print(f"bad point parameters: {exc}", file=sys.stderr)
                 return 2
             dt = time.perf_counter() - t0
@@ -947,7 +928,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         dt = time.perf_counter() - t0
         print(format_figure(result))
         if args.plot:
-            print(ascii_plot(result))
+            print(ascii_chart(figure_chart(result)))
         print(f"[{target}: scale={scale}, {dt:.1f}s]\n")
 
     if auto_sat_figs:

@@ -39,12 +39,12 @@ from repro.experiments.trajectory import (
     scan_saturation,
     trajectory_verdict,
 )
-from repro.experiments.plot import Chart, plot_report, report_charts
+from repro.experiments.plot import Chart, ascii_chart, plot_report, report_charts
 from repro.experiments.claims import ClaimReport, ClaimResult, verify_all
 from repro.experiments.report import (
-    ascii_plot,
     check_ranking,
     endpoint_ratio,
+    figure_chart,
     format_figure,
     series_leq,
 )
@@ -77,6 +77,7 @@ __all__ = [
     "scan_saturation",
     "trajectory_verdict",
     "Chart",
+    "ascii_chart",
     "plot_report",
     "report_charts",
     "SerialExecutor",
@@ -94,9 +95,9 @@ __all__ = [
     "run_figure",
     "run_point",
     "sdsc_trace",
-    "ascii_plot",
     "check_ranking",
     "endpoint_ratio",
+    "figure_chart",
     "format_figure",
     "series_leq",
 ]

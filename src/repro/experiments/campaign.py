@@ -52,6 +52,7 @@ per drained batch, not one per point.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -174,12 +175,13 @@ class PointResult(_MappingABC):
 
         Raises:
             ValueError: ``payload`` is not a current payload (another
-                schema, non-mapping ``means``, malformed summaries).
+                schema, non-mapping ``means``, malformed summaries, or
+                a mean without its summary).
         """
         if payload.get("schema") != RESULT_SCHEMA:
             raise ValueError(f"not a schema-{RESULT_SCHEMA} point payload")
         try:
-            return cls(
+            result = cls(
                 means={k: float(v) for k, v in payload["means"].items()},
                 stats={
                     k: MetricSummary.from_dict(v)
@@ -190,6 +192,9 @@ class PointResult(_MappingABC):
             )
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed point payload: {exc!r}") from None
+        if not result.means.keys() <= result.stats.keys():
+            raise ValueError("point payload lacks replication stats")
+        return result
 
     def to_payload(self) -> dict:
         """JSON-serializable form (the store/report value)."""
@@ -206,8 +211,8 @@ def cached_result(store: ResultCache, key: str) -> PointResult | None:
     """The stored result for ``key``, or ``None`` on a cache miss.
 
     A shard whose value is not a current payload (a schema-1 bare mean
-    dict, another schema, malformed summaries) is a miss too: the
-    campaign recomputes the point and overwrites the shard.
+    dict, another schema, malformed or missing summaries) is a miss
+    too: the campaign recomputes the point and overwrites the shard.
     """
     payload = store.get(key)
     if payload is None:
@@ -229,8 +234,11 @@ class Scale:
     trace_max_jobs: int | None  #: trace prefix length (None = full trace)
 
     @classmethod
-    def by_name(cls, name: str) -> "Scale":
-        """Look a preset up in :data:`SCALES`; KeyError names the options."""
+    def by_name(cls, name: "str | Scale") -> "Scale":
+        """Look a preset up in :data:`SCALES` (a :class:`Scale` passes
+        through unchanged); KeyError names the options."""
+        if isinstance(name, Scale):
+            return name
         try:
             return SCALES[name]
         except KeyError:
@@ -351,17 +359,14 @@ class PointSpec:
     trace_source: str = "sdsc"  #: "sdsc" or an external-trace fingerprint
 
     def __post_init__(self) -> None:
-        # normalise so equality/hashing/key() agree: pipeline specs
-        # canonicalise (equal pipelines -> equal keys, and a malformed
-        # spec fails here rather than inside a worker), the scale pins
-        # the job count, and the backend is resolved to ONE value
-        # carried by both the spec field and the stored config (it is
-        # part of the cache key; results from one backend must never
-        # alias another's)
-        if is_pipeline_spec(self.workload):
-            object.__setattr__(
-                self, "workload", canonical_workload(self.workload)
-            )
+        # normalise so equality/hashing/key() agree: every workload
+        # canonicalises (equal pipelines -> equal keys, a base name stays
+        # itself, and an unknown or malformed one raises SpecError here
+        # rather than inside a worker), the scale pins the job count,
+        # and the backend is resolved to ONE value carried by both the
+        # spec field and the stored config (it is part of the cache key;
+        # results from one backend must never alias another's)
+        object.__setattr__(self, "workload", canonical_workload(self.workload))
         if self.network_mode is None:
             object.__setattr__(self, "network_mode", self.config.network_mode)
         if (self.config.jobs != self.scale.jobs
@@ -371,11 +376,6 @@ class PointSpec:
                 self.config.with_(jobs=self.scale.jobs,
                                   network_mode=self.network_mode),
             )
-
-    @property
-    def run_config(self) -> SimConfig:
-        """The per-run config (job count pinned by the scale preset)."""
-        return self.config
 
     @property
     def replication_bounds(self) -> tuple[int, int]:
@@ -398,7 +398,7 @@ class PointSpec:
         field.  Unlike a joined string, a field value containing a
         separator or drifting float repr cannot alias another point."""
         lo, hi = self.replication_bounds
-        cfg = dataclasses.asdict(self.run_config)
+        cfg = dataclasses.asdict(self.config)
         # the execution engine never affects results (bit-identical by
         # construction, see repro.core.soa), so both engines must read
         # and write the same cache cell
@@ -429,9 +429,9 @@ class PointSpec:
             f"{self.workload} load={self.load:g} "
             f"{self.alloc}({self.sched})"
         )
-        channel = self.run_config.channel
+        channel = self.config.channel
         if channel is not None:
-            arq = self.run_config.arq
+            arq = self.config.arq
             base += f" ch={channel}" + (f"/{arq}" if arq else "")
         return base
 
@@ -442,7 +442,7 @@ class PointSpec:
             METRICS,
             min_replications=lo,
             max_replications=hi,
-            base_seed=self.run_config.seed,
+            base_seed=self.config.seed,
         )
 
 
@@ -473,7 +473,7 @@ def build_simulator(
     exactly once.  Without an explicit ``trace``, an external trace is
     resolved from the spec's ``trace_source`` fingerprint.
     """
-    cfg = spec.run_config
+    cfg = spec.config
     if trace is None:
         trace = _TRACES.get(spec.trace_source)
     return Simulator(
@@ -525,7 +525,7 @@ def _run_seeds(spec: PointSpec, seeds: Sequence[int]) -> list[dict[str, float]]:
     """The campaign work unit: ``(spec, seeds)`` -> metric dicts in seed
     order.  SoA points run the batch in lockstep; reference points are
     submitted one seed per task."""
-    if spec.run_config.engine == "soa":
+    if spec.config.engine == "soa":
         return run_spec_batch(spec, seeds)
     return [run_spec_replication(spec, seed) for seed in seeds]
 
@@ -560,7 +560,7 @@ def _thread_executor_viable(specs: Iterable[PointSpec]) -> bool:
     time-share the GIL)."""
     if _soa_native.load_kernel() is None:
         return False
-    return all(spec.run_config.engine == "soa" for spec in specs)
+    return all(spec.config.engine == "soa" for spec in specs)
 
 
 def make_executor(
@@ -639,7 +639,7 @@ class _CostModel:
     def _stream_length(spec: PointSpec) -> int:
         if "real" in spec.workload and spec.scale.trace_max_jobs:
             return spec.scale.trace_max_jobs
-        return spec.run_config.jobs
+        return spec.config.jobs
 
     def base(self, spec: PointSpec) -> float:
         """The a-priori per-point work estimate (arbitrary units)."""
@@ -675,6 +675,28 @@ class _CostModel:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _check_allocator(name: str, width: int, length: int) -> None:
+    """Build ``name`` on a ``width x length`` mesh, exactly as
+    :func:`build_simulator` does (once per distinct triple)."""
+    try:
+        make_allocator(name, width, length)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(
+            f"bad allocator {name!r} for the {width}x{length} mesh: "
+            f"{exc.args[0]}"
+        ) from None
+
+
+@functools.lru_cache(maxsize=None)
+def _check_scheduler(name: str, window: int) -> None:
+    """Build scheduler ``name`` once per distinct (name, window)."""
+    try:
+        make_scheduler(name, window=window)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"bad scheduler {name!r}: {exc.args[0]}") from None
+
+
 # ----------------------------------------------------------------- campaign
 class Campaign:
     """A deduplicated set of simulation points and the engine to run it."""
@@ -689,6 +711,20 @@ class Campaign:
             unique.setdefault(spec.key(), spec)
         #: unique points in first-seen order
         self.points: tuple[PointSpec, ...] = tuple(unique.values())
+        # every allocator/scheduler a point names must build on the
+        # point's own configured mesh, so a bad grid fails here, before
+        # any work is dispatched, not inside a worker
+        try:
+            for name, width, length in dict.fromkeys(
+                (s.alloc, s.config.width, s.config.length) for s in self.points
+            ):
+                _check_allocator(name, width, length)
+            for name, window in dict.fromkeys(
+                (s.sched, s.config.scheduler_window) for s in self.points
+            ):
+                _check_scheduler(name, window)
+        except TypeError as exc:
+            raise ValueError(f"bad allocator or scheduler name: {exc}") from None
         self.trace = list(trace) if trace is not None else None
         if self.trace is not None:
             # in-process work units resolve the trace by fingerprint
@@ -704,25 +740,28 @@ class Campaign:
         network_mode: str | None = None,
         trace: Sequence[TraceJob] | None = None,
     ) -> "Campaign":
-        """The union of cells needed to regenerate ``fig_ids``.
+        """The union of cells needed to regenerate ``fig_ids``: one
+        :meth:`sweep` per figure and strategy combination, in figure,
+        combination, load order.
 
         Figures sharing a sweep (e.g. figs 3/6/9/12/15 all read the
         uniform workload) contribute the same specs, which collapse in
         the constructor's dedup pass.
         """
-        sc = Scale.by_name(scale) if isinstance(scale, str) else scale
-        source = trace_fingerprint(trace) if trace is not None else "sdsc"
-        specs = []
-        for fig_id in fig_ids:
-            spec = FIGURES[fig_id]
-            for alloc, sched in spec.combos:
-                for load in spec.loads_for(sc.name):
-                    specs.append(PointSpec(
-                        workload=spec.workload, load=load,
-                        alloc=alloc, sched=sched, scale=sc, config=config,
-                        network_mode=network_mode, trace_source=source,
-                    ))
-        return cls(specs, trace=trace)
+        sc = Scale.by_name(scale)
+        return cls(
+            (
+                spec
+                for fig in (FIGURES[fig_id] for fig_id in fig_ids)
+                for alloc, sched in fig.combos
+                for spec in cls.sweep(
+                    (fig.workload,), fig.loads_for(sc.name), (alloc,),
+                    (sched,), scale=sc, config=config,
+                    network_mode=network_mode, trace=trace,
+                ).points
+            ),
+            trace=trace,
+        )
 
     @classmethod
     def sweep(
@@ -738,13 +777,44 @@ class Campaign:
         channels: Sequence[str | None] = (None,),
         arqs: Sequence[str | None] = (None,),
     ) -> "Campaign":
-        """A user-defined full-factorial grid sweep.
+        """A full-factorial grid sweep -- the ONE grid builder.
 
-        ``channels``/``arqs`` add lossy-interconnect axes: each entry is
-        a channel policy spec / ARQ protocol applied through the point's
-        config (``None`` keeps the config's own setting).
+        Figures, scenarios, single points and service sweep documents
+        all build their specs here, in ``channels x arqs x workloads x
+        loads x allocs x scheds`` order.  ``channels``/``arqs`` add
+        lossy-interconnect axes: each entry is a channel policy spec /
+        ARQ protocol applied through the point's config (``None`` keeps
+        the config's own setting).
+
+        Raises:
+            ValueError: an axis that is a bare string or empty, a
+                non-numeric load, an unknown scale, or -- from
+                :class:`PointSpec` and the constructor -- an unknown
+                workload (:class:`~repro.workload.transforms.SpecError`),
+                a bad channel/ARQ/network mode, or an allocator or
+                scheduler that cannot be built on the configured mesh.
         """
-        sc = Scale.by_name(scale) if isinstance(scale, str) else scale
+        axes = {"workloads": workloads, "loads": loads, "allocs": allocs,
+                "scheds": scheds, "channels": channels, "arqs": arqs}
+        for name, axis in axes.items():
+            try:
+                axes[name] = () if isinstance(axis, str) else tuple(axis)
+            except TypeError:
+                axes[name] = ()
+            if not axes[name]:
+                raise ValueError(
+                    f"sweep axis {name!r} must be a non-empty list, "
+                    f"got {axis!r}"
+                )
+        workloads, loads, allocs, scheds, channels, arqs = axes.values()
+        try:
+            loads = tuple(float(x) for x in loads)
+        except (TypeError, ValueError):
+            raise ValueError(f"bad sweep loads {loads!r}") from None
+        try:
+            sc = Scale.by_name(scale)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(str(exc.args[0])) from None
         source = trace_fingerprint(trace) if trace is not None else "sdsc"
         configs = [
             config if ch is None and aq is None else config.with_(
@@ -778,17 +848,17 @@ class Campaign:
         for spec in specs:
             if "real" not in spec.workload:
                 continue
-            key = (spec.workload, spec.load, spec.scale, spec.run_config)
+            key = (spec.workload, spec.load, spec.scale, spec.config)
             if key in seen:
                 continue
             seen.add(key)
             workload = make_workload(
-                spec.workload, spec.run_config, spec.load, spec.scale,
+                spec.workload, spec.config, spec.load, spec.scale,
                 trace=self.trace,
             )
             # pulling the first block forces trace parse + column
             # derivation into the parent's (inherited) memo caches
-            next(workload.blocks(spec.run_config.seed, 8), None)
+            next(workload.blocks(spec.config.seed, 8), None)
 
     def run(
         self,
@@ -867,7 +937,7 @@ class Campaign:
             batch_started[spec] = time.perf_counter()
             # SoA points advance the whole seed set in one lockstep task
             # (repro.core.soa); reference points take one task per seed
-            tasks = [seeds] if spec.run_config.engine == "soa" else [
+            tasks = [seeds] if spec.config.engine == "soa" else [
                 (seed,) for seed in seeds
             ]
             for task_seeds in tasks:

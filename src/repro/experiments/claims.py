@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from repro.core.config import PAPER_CONFIG, SimConfig
 from repro.experiments.campaign import Campaign
 from repro.experiments.figures import FIGURES
 from repro.experiments.report import endpoint_ratio, mean_of
 from repro.experiments.runner import FigureResult, run_figure
+from repro.workload.trace import TraceJob
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,20 +220,21 @@ def verify_all(
     network_mode: str | None = None,
     jobs: int = 1,
     executor: str | None = None,
+    config: SimConfig = PAPER_CONFIG,
+    trace: Sequence[TraceJob] | None = None,
 ) -> ClaimReport:
     """Regenerate every figure and evaluate all paper claims.
 
     The union of all figures' cells first runs as one deduplicated
     campaign on ``jobs`` workers of the ``executor`` kind (``None``
-    auto-selects); the per-figure regeneration below is then pure
-    cache reads.
+    auto-selects); the per-figure regeneration below reads the same
+    cells (same ``config``, network mode and external ``trace``), so it
+    is pure cache reads.
     """
-    Campaign.from_figures(tuple(FIGURES), scale=scale,
-                          network_mode=network_mode).run(
+    grid = dict(scale=scale, config=config, network_mode=network_mode,
+                trace=trace)
+    Campaign.from_figures(tuple(FIGURES), **grid).run(
         jobs=jobs, executor_kind=executor)
-    figs = {
-        fig_id: run_figure(fig_id, scale=scale, network_mode=network_mode)
-        for fig_id in FIGURES
-    }
+    figs = {fig_id: run_figure(fig_id, **grid) for fig_id in FIGURES}
     results = tuple(check(figs) for check in CHECKS)
     return ClaimReport(results=results, scale=scale)

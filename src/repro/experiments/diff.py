@@ -33,7 +33,8 @@ CLI::
 Exit codes: ``0`` clean (or differences without ``--fail-on-regress``),
 ``1`` at least one ``regressed`` verdict (a regressed mean *or* a
 diverged trajectory) under ``--fail-on-regress``, ``2`` malformed or
-old-schema reports, disjoint grids, or ``--trajectories`` against
+old-schema reports (a point whose ``stats`` do not cover its
+``metrics`` included), disjoint grids, or ``--trajectories`` against
 reports with no embedded series -- usable directly as a CI gate.
 """
 
@@ -76,8 +77,10 @@ def campaign_report(
 ) -> dict:
     """The machine-readable report for a set of campaign points.
 
-    This is the ``sweep --out`` format; scenario reports embed the same
-    per-point payload (plus trajectories) so ``repro diff`` reads both.
+    Every ``--out`` document is built here: ``sweep``, auto-saturation
+    figures, service job reports and (via
+    :meth:`~repro.experiments.scenario.ScenarioResult.to_dict`, which
+    adds its ``scenario`` and ``fingerprint`` keys) scenario reports.
 
     Args:
         points: the report's point specs, in order.
@@ -85,7 +88,8 @@ def campaign_report(
         name: report name (shown in diff headers).
         kind: report kind tag (``campaign``/``figures``/...).
         trajectories: optional ``{spec.label(): series}`` trajectory
-            payloads to embed per point.
+            payloads; when given (even empty), every point embeds a
+            ``trajectory`` entry, ``{}`` for a point without one.
         saturation: optional saturation-scan block(s)
             (:meth:`~repro.experiments.trajectory.SaturationScan.to_dict`).
 
@@ -95,7 +99,7 @@ def campaign_report(
     entries = []
     for spec in points:
         entry = point_payload(spec, results[spec])
-        if trajectories:
+        if trajectories is not None:
             entry["trajectory"] = dict(trajectories.get(spec.label(), {}))
         entries.append(entry)
     report = {
@@ -141,15 +145,6 @@ class ReportPoint:
     sched: str | None = None
     #: embedded trajectory series; empty when none recorded
     trajectory: Mapping[str, list] = field(default_factory=dict)
-
-    def summary(self, metric: str) -> MetricSummary:
-        """The metric's replication summary; a mean-only report entry
-        degrades to a deterministic single observation (n=1), which the
-        comparator classifies by relative delta alone."""
-        hit = self.stats.get(metric)
-        if hit is not None:
-            return hit
-        return MetricSummary(mean=self.metrics[metric], variance=0.0, n=1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,8 +212,13 @@ def parse_report(data, source: str = "<dict>") -> LoadedReport:
                 m: MetricSummary.from_dict(s)
                 for m, s in entry.get("stats", {}).items()
             }
-        except (TypeError, ValueError, KeyError) as exc:
+        except (AttributeError, TypeError, ValueError, KeyError) as exc:
             raise DiffError(f"{where} has malformed values: {exc}") from None
+        unsummarised = [m for m in parsed_metrics if m not in stats]
+        if unsummarised:
+            raise DiffError(
+                f"{where} has no replication 'stats' for {unsummarised}"
+            )
         trajectory = entry.get("trajectory")
         if trajectory is not None and not isinstance(trajectory, Mapping):
             raise DiffError(f"{where} has a non-object 'trajectory'")
@@ -253,14 +253,8 @@ def parse_report(data, source: str = "<dict>") -> LoadedReport:
             trajectory=dict(trajectory) if trajectory else {},
         ))
     name = data.get("name")
-    if not isinstance(name, str) or not name:
-        scenario = data.get("scenario")
-        name = (
-            scenario.get("name", source)
-            if isinstance(scenario, Mapping) else source
-        )
     return LoadedReport(
-        name=str(name),
+        name=name if isinstance(name, str) and name else source,
         kind=str(data.get("kind", "report")),
         source=source,
         points=tuple(points),
@@ -536,7 +530,7 @@ def diff_reports(
         for m in selected:
             if m in pa.metrics and m in pb.metrics:
                 comparisons[m] = compare_metric(
-                    m, pa.summary(m), pb.summary(m),
+                    m, pa.stats[m], pb.stats[m],
                     alpha=alpha, rel_tol=rel_tol,
                 )
             elif metrics:

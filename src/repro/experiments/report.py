@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro.experiments.plot import Chart
 from repro.experiments.runner import FigureResult
 
 
@@ -83,33 +84,19 @@ def check_ranking(
     return problems
 
 
-def ascii_plot(
-    result: FigureResult, height: int = 12, width_per_point: int = 10
-) -> str:
-    """Rough terminal plot of a figure (series as letters A.., rows high)."""
-    labels = list(result.series)
-    all_values = [v for s in result.series.values() for v in s]
-    lo, hi = min(all_values), max(all_values)
-    if hi == lo:
-        hi = lo + 1.0
-    rows = [
-        [" "] * (len(result.loads) * width_per_point) for _ in range(height)
-    ]
-    for li, lbl in enumerate(labels):
-        marker = chr(ord("A") + li)
-        for pi, v in enumerate(result.series[lbl]):
-            r = height - 1 - int((v - lo) / (hi - lo) * (height - 1))
-            c = pi * width_per_point + width_per_point // 2
-            rows[r][c] = marker
-    out = [f"{result.spec.ylabel}  [{lo:.1f} .. {hi:.1f}]"]
-    out.extend("".join(r) for r in rows)
-    out.append(
-        "".join(f"{load:<{width_per_point}.4g}" for load in result.loads)
+def figure_chart(result: FigureResult) -> Chart:
+    """The figure as a :class:`~repro.experiments.plot.Chart` -- metric
+    vs. load, one series per strategy combination -- for
+    :func:`~repro.experiments.plot.ascii_chart` (``figN --plot``)."""
+    return Chart(
+        title=result.spec.fig_id.upper(),
+        xlabel="load",
+        ylabel=result.spec.ylabel,
+        series={
+            label: (result.loads, values)
+            for label, values in result.series.items()
+        },
     )
-    out.extend(
-        f"  {chr(ord('A') + i)} = {lbl}" for i, lbl in enumerate(labels)
-    )
-    return "\n".join(out)
 
 
 def summarize_point(point: Mapping[str, float]) -> str:

@@ -39,7 +39,6 @@ from repro.experiments.campaign import (
     default_scale,
     make_workload,
     sdsc_trace,
-    trace_fingerprint,
 )
 from repro.experiments.figures import FIGURES, FigureSpec, combo_label
 from repro.experiments.store import ResultCache, global_cache
@@ -77,14 +76,16 @@ def run_point(
     executor: str | None = None,
 ) -> PointResult:
     """Run (with replications) one point; returns metric means (a
-    mapping) plus their replication summaries."""
-    sc = Scale.by_name(scale) if isinstance(scale, str) else scale
-    spec = PointSpec(
-        workload=workload, load=load, alloc=alloc, sched=sched,
-        scale=sc, config=config, network_mode=network_mode,
-        trace_source=trace_fingerprint(trace) if trace is not None else "sdsc",
+    mapping) plus their replication summaries.
+
+    The point is a one-cell :meth:`Campaign.sweep`, so it is validated
+    like every other grid (``ValueError`` for a bad name or config).
+    """
+    campaign = Campaign.sweep(
+        (workload,), (load,), (alloc,), (sched,), scale=scale,
+        config=config, network_mode=network_mode, trace=trace,
     )
-    campaign = Campaign((spec,), trace=trace)
+    (spec,) = campaign.points
     return campaign.run(jobs=jobs, cache=cache, executor_kind=executor)[spec]
 
 
@@ -105,7 +106,7 @@ class FigureResult:
 
 def run_figure(
     fig_id: str,
-    scale: str = "smoke",
+    scale: str | Scale = "smoke",
     config: SimConfig = PAPER_CONFIG,
     network_mode: str | None = None,
     cache: ResultCache | None = None,
@@ -113,25 +114,25 @@ def run_figure(
     jobs: int = 1,
     executor: str | None = None,
 ) -> FigureResult:
-    """Regenerate one paper figure's data series."""
+    """Regenerate one paper figure's data series.
+
+    The series are read off the figure campaign's own points, which
+    :meth:`Campaign.from_figures` lists per strategy combination in
+    load order.
+    """
     spec = FIGURES[fig_id]
-    sc = Scale.by_name(scale)
-    loads = spec.loads_for(sc.name)
     campaign = Campaign.from_figures(
-        (fig_id,), scale=sc, config=config,
+        (fig_id,), scale=scale, config=config,
         network_mode=network_mode, trace=trace,
     )
     points = campaign.run(jobs=jobs, cache=cache, executor_kind=executor)
-    source = trace_fingerprint(trace) if trace is not None else "sdsc"
-    series: dict[str, tuple[float, ...]] = {}
-    for alloc, sched in spec.combos:
-        values = []
-        for load in loads:
-            cell = PointSpec(
-                workload=spec.workload, load=load, alloc=alloc, sched=sched,
-                scale=sc, config=config, network_mode=network_mode,
-                trace_source=source,
-            )
-            values.append(points[cell][spec.metric])
-        series[combo_label(alloc, sched)] = tuple(values)
-    return FigureResult(spec=spec, loads=loads, series=series)
+    series: dict[str, list[float]] = {}
+    for cell in campaign.points:
+        series.setdefault(combo_label(cell.alloc, cell.sched), []).append(
+            points[cell][spec.metric]
+        )
+    return FigureResult(
+        spec=spec,
+        loads=tuple(dict.fromkeys(cell.load for cell in campaign.points)),
+        series={label: tuple(values) for label, values in series.items()},
+    )

@@ -37,22 +37,17 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.trajectory import SaturationScan
 
-from repro.alloc import make_allocator
 from repro.core.config import NETWORK_MODES, PAPER_CONFIG, SimConfig
 from repro.core.hooks import TrajectoryObserver
 from repro.experiments.campaign import (
-    METRICS,
-    SCALES,
     Campaign,
     PointResult,
     PointSpec,
-    Scale,
     build_simulator,
     make_executor,
-    trace_fingerprint,
 )
+from repro.experiments.diff import campaign_report
 from repro.experiments.store import ResultCache
-from repro.sched import make_scheduler
 from repro.workload.trace import TraceJob
 from repro.workload.transforms import canonical_workload
 from repro.experiments.report import summarize_point
@@ -94,27 +89,6 @@ class Scenario:
         if not self.name:
             raise ValueError("scenario needs a non-empty name")
         self.workload = canonical_workload(self.workload)
-        self.loads = tuple(float(x) for x in self.loads)
-        if not self.loads:
-            raise ValueError("scenario needs at least one load")
-        self.allocs = tuple(self.allocs)
-        self.scheds = tuple(self.scheds)
-        if not self.allocs or not self.scheds:
-            raise ValueError("scenario needs at least one allocator and scheduler")
-        for alloc in self.allocs:
-            try:
-                make_allocator(alloc, 4, 4)
-            except KeyError as exc:
-                raise ValueError(f"bad scenario allocator: {exc.args[0]}") from None
-        for sched in self.scheds:
-            try:
-                make_scheduler(sched)
-            except KeyError as exc:
-                raise ValueError(f"bad scenario scheduler: {exc.args[0]}") from None
-        if self.scale not in SCALES:
-            raise ValueError(
-                f"unknown scale {self.scale!r}; choose from {sorted(SCALES)}"
-            )
         if self.network_mode is not None and self.network_mode not in NETWORK_MODES:
             raise ValueError(
                 f"unknown network_mode {self.network_mode!r}; "
@@ -124,14 +98,16 @@ class Scenario:
             raise ValueError(
                 f"sample_interval must be positive, got {self.sample_interval}"
             )
+        # the grid validates itself: Campaign.sweep rejects empty or
+        # bare-string axes, an unknown scale, bad config overrides, and
+        # any allocator/scheduler that cannot be built on the
+        # configured mesh
+        self.points()
+        self.loads = tuple(float(x) for x in self.loads)
+        self.allocs = tuple(self.allocs)
+        self.scheds = tuple(self.scheds)
         self.channels = tuple(self.channels)
         self.arqs = tuple(self.arqs)
-        if not self.channels or not self.arqs:
-            raise ValueError(
-                "scenario channels/arqs need at least one entry (use [null] "
-                "for the perfect-interconnect default)"
-            )
-        self.grid_configs()  # reject unknown/invalid config overrides now
 
     # -------------------------------------------------------- serialization
     @classmethod
@@ -197,48 +173,27 @@ class Scenario:
                 f"valid SimConfig fields: {fields}"
             ) from None
 
-    def grid_configs(self) -> tuple[SimConfig, ...]:
-        """One run config per ``channels`` x ``arqs`` grid cell.
-
-        ``None`` axis entries keep the corresponding ``config`` override
-        (so the default ``[null]`` axes collapse to :meth:`sim_config`).
-        """
-        base = self.sim_config()
-        return tuple(
-            base if ch is None and aq is None else base.with_(
-                channel=base.channel if ch is None else ch,
-                arq=base.arq if aq is None else aq,
-            )
-            for ch in self.channels for aq in self.arqs
-        )
-
-    def points(
-        self, trace: Sequence[TraceJob] | None = None
-    ) -> tuple[PointSpec, ...]:
-        """The scenario's grid as campaign point specs.
+    def campaign(self, trace: Sequence[TraceJob] | None = None) -> Campaign:
+        """The scenario's grid as a ready-to-run :meth:`Campaign.sweep`.
 
         The canonical pipeline string rides in each spec's ``workload``
         field, so it -- together with the override-carrying config -- is
         folded into the structured cache key: two scenarios share a
         cache cell exactly when the cell's simulation inputs coincide.
         """
-        sc = Scale.by_name(self.scale)
-        source = trace_fingerprint(trace) if trace is not None else "sdsc"
-        return tuple(
-            PointSpec(
-                workload=self.workload, load=load, alloc=alloc, sched=sched,
-                scale=sc, config=cfg, network_mode=self.network_mode,
-                trace_source=source,
-            )
-            for cfg in self.grid_configs()
-            for load in self.loads
-            for alloc in self.allocs
-            for sched in self.scheds
+        return Campaign.sweep(
+            (self.workload,), self.loads, self.allocs, self.scheds,
+            scale=self.scale, config=self.sim_config(),
+            network_mode=self.network_mode, trace=trace,
+            channels=self.channels, arqs=self.arqs,
         )
 
-    def campaign(self, trace: Sequence[TraceJob] | None = None) -> Campaign:
-        """The scenario's grid as a ready-to-run (deduplicated) campaign."""
-        return Campaign(self.points(trace), trace=trace)
+    def points(
+        self, trace: Sequence[TraceJob] | None = None
+    ) -> tuple[PointSpec, ...]:
+        """The scenario's grid as campaign point specs (see
+        :meth:`campaign`)."""
+        return self.campaign(trace).points
 
     # -------------------------------------------------------------- running
     def run(
@@ -347,7 +302,7 @@ def run_trajectory(
     trace resolves from the spec's ``trace_source`` fingerprint (see
     :func:`~repro.experiments.campaign.build_simulator`).
     """
-    cfg = spec.run_config
+    cfg = spec.config
     observer = TrajectoryObserver(sample_interval, processors=cfg.processors)
     build_simulator(spec, cfg.seed, trace=trace, observers=(observer,)).run()
     return observer.series()
@@ -369,33 +324,23 @@ class ScenarioResult:
     def to_dict(self) -> dict:
         """JSON-serializable report (scenario + per-point results).
 
-        Schema 3: every point embeds its structured cache ``key``, the
-        per-metric replication summaries (mean, variance, n) that
-        ``repro diff`` aligns and tests on, and its trajectory series
-        (the stable :meth:`TrajectoryObserver.series` export) that
-        ``repro diff --trajectories`` and ``repro plot`` consume; an
-        auto-saturation scan, when one ran, lands in the top-level
-        ``saturation`` block.
+        The schema-3 :func:`~repro.experiments.diff.campaign_report` of
+        the points, with every point's trajectory series (the stable
+        :meth:`TrajectoryObserver.series` export, empty when disabled)
+        and the auto-saturation scan when one ran, plus the scenario's
+        own ``scenario`` document and ``fingerprint``.
         """
-        from repro.experiments.diff import REPORT_SCHEMA, point_payload
-
-        points = []
-        for spec in self.points:
-            entry = point_payload(spec, self.metrics[spec])
-            entry["trajectory"] = dict(self.trajectories.get(spec.label(), {}))
-            points.append(entry)
-        out = {
-            "schema": REPORT_SCHEMA,
-            "kind": "scenario",
-            "name": self.scenario.name,
-            "scenario": self.scenario.to_dict(),
-            "fingerprint": self.scenario.fingerprint(),
-            "points": points,
-            "metric_names": list(METRICS),
-        }
-        if self.saturation is not None:
-            out["saturation"] = self.saturation.to_dict()
-        return out
+        report = campaign_report(
+            self.points, self.metrics, name=self.scenario.name,
+            kind="scenario", trajectories=self.trajectories,
+            saturation=(
+                self.saturation.to_dict() if self.saturation is not None
+                else None
+            ),
+        )
+        report["scenario"] = self.scenario.to_dict()
+        report["fingerprint"] = self.scenario.fingerprint()
+        return report
 
     def format(self) -> str:
         """Human-readable per-point summary table."""

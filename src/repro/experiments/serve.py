@@ -83,6 +83,9 @@ def build_campaign(doc: Mapping) -> tuple[str, str, Campaign]:
     (``workloads``/``loads`` required, ``allocs``/``scheds``/``scale``/
     ``network_mode`` optional); anything else must be a scenario
     document (:meth:`Scenario.from_dict`, which rejects unknown keys).
+    Both go through :meth:`Campaign.sweep`, so a bare-string axis or an
+    unknown workload, allocator, scheduler or scale is rejected here,
+    before a job exists (HTTP 400).
 
     Returns:
         ``(name, kind, campaign)`` where ``kind`` is ``"scenario"`` or
@@ -103,15 +106,11 @@ def build_campaign(doc: Mapping) -> tuple[str, str, Campaign]:
         missing = {"workloads", "loads"} - set(doc)
         if missing:
             raise ValueError(f"sweep is missing required key(s) {sorted(missing)}")
-        try:
-            loads = tuple(float(x) for x in doc["loads"])
-        except (TypeError, ValueError):
-            raise ValueError(f"bad sweep loads {doc['loads']!r}") from None
         campaign = Campaign.sweep(
-            workloads=tuple(doc["workloads"]),
-            loads=loads,
-            allocs=tuple(doc.get("allocs", ("GABL",))),
-            scheds=tuple(doc.get("scheds", ("FCFS",))),
+            workloads=doc["workloads"],
+            loads=doc["loads"],
+            allocs=doc.get("allocs", ("GABL",)),
+            scheds=doc.get("scheds", ("FCFS",)),
             scale=doc.get("scale", "smoke"),
             network_mode=doc.get("network_mode"),
         )

@@ -31,7 +31,6 @@ from repro.experiments.campaign import (
     PointResult,
     PointSpec,
     Scale,
-    trace_fingerprint,
 )
 from repro.experiments.figures import (
     FIGURES,
@@ -238,7 +237,6 @@ def scan_saturation(
         A :class:`SaturationScan`; its ``knee`` is ``None`` when the
         ladder ran out before a plateau was confirmed.
     """
-    sc = Scale.by_name(scale) if isinstance(scale, str) else scale
     if start is None:
         start = sweep_ceiling(workload)
     ladder = geometric_ladder(start, factor=factor, max_steps=max_steps)
@@ -248,7 +246,7 @@ def scan_saturation(
     knee_index: int | None = None
     for load in ladder:
         result = run_point(
-            workload, load, alloc, sched, scale=sc, config=config,
+            workload, load, alloc, sched, scale=scale, config=config,
             network_mode=network_mode, cache=cache, trace=trace, jobs=jobs,
             executor=executor,
         )
@@ -264,7 +262,7 @@ def scan_saturation(
         workload=workload,
         alloc=alloc,
         sched=sched,
-        scale=sc.name,
+        scale=Scale.by_name(scale).name,
         loads=tuple(loads),
         utilization=tuple(utils),
         mean_wait=tuple(waits),
@@ -317,28 +315,28 @@ def run_saturation_figure(
             f"{fig_id} is a load-sweep figure; --auto-saturation applies to "
             "the saturation bar charts (fig8/fig9/fig10)"
         )
-    sc = Scale.by_name(scale) if isinstance(scale, str) else scale
     alloc, sched = spec.combos[0]
     scan = scan_saturation(
-        spec.workload, alloc=alloc, sched=sched, scale=sc, config=config,
+        spec.workload, alloc=alloc, sched=sched, scale=scale, config=config,
         network_mode=network_mode, trace=trace, cache=cache, jobs=jobs,
         executor=executor, rel_tol=rel_tol, confirm=confirm,
     )
     load = scan.knee if scan.knee is not None else SATURATION_LOADS[spec.workload]
-    source = trace_fingerprint(trace) if trace is not None else "sdsc"
-    cells = [
-        PointSpec(
-            workload=spec.workload, load=load, alloc=a, sched=s,
-            scale=sc, config=config, network_mode=network_mode,
-            trace_source=source,
-        )
-        for a, s in spec.combos
-    ]
-    campaign = Campaign(cells, trace=trace)
+    campaign = Campaign(
+        (
+            cell
+            for a, s in spec.combos
+            for cell in Campaign.sweep(
+                (spec.workload,), (load,), (a,), (s,), scale=scale,
+                config=config, network_mode=network_mode, trace=trace,
+            ).points
+        ),
+        trace=trace,
+    )
     points = campaign.run(jobs=jobs, cache=cache, executor_kind=executor)
     series = {
-        combo_label(a, s): (points[cell][spec.metric],)
-        for (a, s), cell in zip(spec.combos, cells)
+        combo_label(cell.alloc, cell.sched): (points[cell][spec.metric],)
+        for cell in campaign.points
     }
     figure = FigureResult(spec=spec, loads=(load,), series=series)
     return figure, scan, points

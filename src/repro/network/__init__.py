@@ -22,13 +22,7 @@ from repro.network.backend import (
     make_backend,
     register_backend,
 )
-from repro.network.wormhole import (
-    MODES,
-    CausalBackend,
-    FastBackend,
-    SFBBackend,
-    WormholeNetwork,
-)
+from repro.network.wormhole import CausalBackend, FastBackend, SFBBackend
 from repro.network.batch import BatchBackend
 from repro.network.arq import ARQ_PROTOCOLS, FlowArq
 from repro.network.channel import (
@@ -54,12 +48,10 @@ __all__ = [
     "backend_modes",
     "make_backend",
     "register_backend",
-    "MODES",
     "FastBackend",
     "BatchBackend",
     "CausalBackend",
     "SFBBackend",
-    "WormholeNetwork",
     "AllToAllTraffic",
     "destination_offsets",
     "destination_schedule",

@@ -22,8 +22,7 @@ packet through the engine via :meth:`NetworkBackend.send` callbacks.
 traffic generator.
 
 Register implementations with :func:`register_backend`; construct them
-with :func:`make_backend` (the ``WormholeNetwork`` factory in
-:mod:`repro.network.wormhole` is a thin alias kept for compatibility).
+with :func:`make_backend`, the one factory.
 """
 
 from __future__ import annotations

@@ -55,7 +55,6 @@ from repro.core.engine import Engine
 from repro.core.events import Priority
 from repro.mesh.geometry import Coord
 from repro.network.backend import (
-    BACKENDS,
     NetworkBackend,
     PathTiming,
     RoundStats,
@@ -63,8 +62,7 @@ from repro.network.backend import (
 )
 from repro.network.topology import MeshTopology
 
-__all__ = ["PathTiming", "WormholeNetwork", "FastBackend", "CausalBackend",
-           "SFBBackend", "MODES"]
+__all__ = ["PathTiming", "FastBackend", "CausalBackend", "SFBBackend"]
 
 
 @register_backend
@@ -314,32 +312,6 @@ class SFBBackend(NetworkBackend):
         super().reset()
         self._holder = [None] * self.topology.channel_count
         self._waiters = [None] * self.topology.channel_count
-
-
-#: registered engine names (batch registers on package import)
-MODES = ("fast", "batch", "causal", "sfb")
-
-
-def WormholeNetwork(
-    topology: MeshTopology,
-    engine: Engine,
-    t_s: float = 3.0,
-    p_len: int = 8,
-    mode: str = "fast",
-) -> NetworkBackend:
-    """Build the wormhole engine registered under ``mode``.
-
-    Kept as a factory with the historical constructor signature; the
-    returned object is a :class:`~repro.network.backend.NetworkBackend`.
-    """
-    from repro.network import batch  # noqa: F401  (registers "batch")
-
-    cls = BACKENDS.get(mode)
-    if cls is None:
-        raise ValueError(
-            f"unknown network mode {mode!r}; choose from {MODES}"
-        )
-    return cls(topology, engine, t_s=t_s, p_len=p_len)
 
 
 class _Packet:

@@ -18,7 +18,9 @@ from repro.experiments.campaign import (
     run_spec_replication,
     trace_fingerprint,
 )
+from repro.experiments import campaign as campaign_module
 from repro.workload.trace import TraceJob
+from repro.workload.transforms import SpecError
 from repro.experiments.runner import METRICS, run_figure, run_point
 from repro.experiments.store import ResultCache
 
@@ -206,6 +208,47 @@ class TestParallelEquivalence:
         assert set(again) == set(campaign.points)
 
 
+class TestGridValidation:
+    """Every grid is built by ``Campaign.sweep`` and validated by the
+    ``Campaign`` constructor, before any work is dispatched."""
+
+    @pytest.mark.parametrize("axis", ["workloads", "loads", "allocs",
+                                      "scheds", "channels", "arqs"])
+    def test_bare_string_axis_is_rejected(self, axis):
+        grid = dict(workloads=["uniform"], loads=[0.01], allocs=["GABL"],
+                    scheds=["FCFS"])
+        grid[axis] = {"loads": "0.01"}.get(axis, "GABL")
+        with pytest.raises(ValueError, match=f"sweep axis '{axis}'"):
+            Campaign.sweep(**grid, config=TINY)
+
+    def test_unknown_workload_fails_at_spec_construction(self):
+        with pytest.raises(SpecError, match="unknown workload source"):
+            _spec(workload="bogus")
+
+    def test_allocator_checked_on_the_points_own_mesh(self):
+        # Paging(3) needs 8x8 pages: fine on TINY, not on 16x22
+        Campaign([_spec(alloc="Paging(3)")])
+        with pytest.raises(ValueError, match="16x22 mesh"):
+            Campaign([_spec(alloc="Paging(3)", config=SimConfig())])
+        with pytest.raises(ValueError, match="bad scheduler 'LIFO'"):
+            Campaign([_spec(sched="LIFO")])
+
+    def test_each_allocator_built_once_per_mesh(self, monkeypatch):
+        built = []
+        real = campaign_module.make_allocator
+
+        def spy(name, width, length):
+            built.append((name, width, length))
+            return real(name, width, length)
+
+        monkeypatch.setattr(campaign_module, "make_allocator", spy)
+        mesh = SimConfig(width=10, length=14, jobs=15)
+        for _ in range(2):
+            Campaign.sweep(["uniform"], [0.001 * i for i in range(1, 51)],
+                           ["GABL", "MBS"], ["FCFS", "SSD"], config=mesh)
+        assert sorted(built) == [("GABL", 10, 14), ("MBS", 10, 14)]
+
+
 #: shard values that are not a current point payload
 _MEANS = {m: 1.0 for m in METRICS}
 NON_CURRENT_SHARDS = {
@@ -215,6 +258,12 @@ NON_CURRENT_SHARDS = {
                      "replications": 7},
     "non-mapping means": {"schema": RESULT_SCHEMA, "means": [1.0, 2.0],
                           "replications": 7},
+    "current schema without stats": {"schema": RESULT_SCHEMA,
+                                     "means": _MEANS, "replications": 7},
+    "current schema with partial stats": {
+        "schema": RESULT_SCHEMA, "means": _MEANS, "replications": 7,
+        "stats": {METRICS[0]: {"mean": 1.0, "variance": 0.0, "n": 7}},
+    },
 }
 
 

@@ -55,6 +55,35 @@ def test_point_rejects_out_of_range_transform_arg(capsys):
     assert "bad point parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,fragment", [
+    (["--allocs", "NOPE"], "bad allocator 'NOPE'"),
+    (["--allocs", "Paging(2)"], "16x22 mesh"),
+    (["--scheds", "LIFO"], "bad scheduler 'LIFO'"),
+    (["--workloads", "bogus"], "unknown workload source 'bogus'"),
+])
+def test_sweep_rejects_bad_grid_before_running(flags, fragment, capsys):
+    """A bad grid is a clean exit 2 at build time: no point runs, no
+    traceback."""
+    argv = ["sweep", "--workloads", "uniform", "--loads", "0.02",
+            "--scale", "smoke"]
+    rc = main(argv + flags)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "bad sweep parameters" in captured.err
+    assert fragment in captured.err
+    assert "Traceback" not in captured.err
+    assert "sweep:" not in captured.out  # nothing was dispatched
+
+
+def test_point_rejects_allocator_off_the_mesh(capsys):
+    rc = main([
+        "point", "--workload", "uniform", "--load", "0.02",
+        "--alloc", "Paging(2)", "--scale", "smoke",
+    ])
+    assert rc == 2
+    assert "16x22 mesh" in capsys.readouterr().err
+
+
 def test_point_requires_args(capsys):
     rc = main(["point", "--scale", "smoke"])
     assert rc == 2
@@ -75,6 +104,13 @@ def test_figure_command_smoke(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FIG9" in out
     assert "GABL(SSD)" in out
+
+
+def test_figure_plot_renders_the_figure_chart(capsys):
+    assert main(["fig9", "--scale", "smoke", "--plot"]) == 0
+    out = capsys.readouterr().out
+    assert "x: load" in out
+    assert "A = GABL(FCFS)" in out and "F = MBS(SSD)" in out
 
 
 def test_swf_option(tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""Tests for the state sampler and the paper-claim verification module."""
+"""Tests for periodic state sampling (the trajectory observer) and the
+paper-claim verification module."""
 
 import pytest
 
 from repro.alloc import make_allocator
 from repro.core.config import SimConfig
-from repro.core.sampler import StateSampler
+from repro.core.hooks import TrajectoryObserver
 from repro.core.simulator import Simulator
 from repro.experiments.claims import (
     CHECKS,
@@ -20,74 +21,68 @@ from repro.sched import make_scheduler
 from repro.workload.stochastic import StochasticWorkload
 
 
-def make_sim(load=0.05, jobs=40):
+def make_sim(load=0.05, jobs=40, observers=()):
     cfg = SimConfig(width=8, length=8, jobs=jobs, seed=9)
     return Simulator(
         cfg,
         make_allocator("GABL", 8, 8),
         make_scheduler("FCFS"),
         StochasticWorkload(cfg, load=load),
+        observers=observers,
     )
 
 
+def observe(interval, load=0.05, jobs=40):
+    """Run a simulator with a trajectory observer attached."""
+    observer = TrajectoryObserver(interval, processors=64)
+    result = make_sim(load, jobs, observers=(observer,)).run()
+    return observer, result
+
+
 class TestSampler:
+    """The periodic state sampling behind the saturation figures, through
+    the passive :class:`TrajectoryObserver`."""
+
     def test_collects_samples(self):
-        sim = make_sim()
-        sampler = StateSampler(sim, period=50.0)
-        sampler.start()
-        sim.run()
-        assert len(sampler.samples) > 5
-        times = [s.time for s in sampler.samples]
+        observer, _ = observe(50.0)
+        assert len(observer.times) > 5
+        times = observer.times
         assert times == sorted(times)
         # period spacing
         gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(g == pytest.approx(50.0) for g in gaps)
 
     def test_sample_values_sane(self):
-        sim = make_sim()
-        sampler = StateSampler(sim, period=25.0)
-        sampler.start()
-        sim.run()
-        for s in sampler.samples:
-            assert 0 <= s.busy_processors <= 64
-            assert s.queue_length >= 0
-            assert s.running_jobs >= 0
-            assert 0.0 <= s.utilization(64) <= 1.0
+        observer, _ = observe(25.0)
+        assert all(0 <= b <= 64 for b in observer.busy)
+        assert all(q >= 0 for q in observer.queue_length)
+        assert all(0.0 <= u <= 1.0 for u in observer.utilization())
 
     def test_saturation_fills_queue_early(self):
         """The paper's Figs. 8-10 premise: under heavy load the waiting
         queue fills very early in the run."""
-        sim = make_sim(load=0.5, jobs=60)
-        sampler = StateSampler(sim, period=20.0)
-        sampler.start()
-        result = sim.run()
-        t_queue = sampler.time_to_queue(10)
+        observer, result = observe(20.0, load=0.5, jobs=60)
+        t_queue = next(
+            (t for t, q in zip(observer.times, observer.queue_length)
+             if q >= 10),
+            None,
+        )
         assert t_queue is not None
         assert t_queue < result.sim_time * 0.25
-        assert sampler.plateau_utilization() > 0.5
+        util = observer.utilization()
+        plateau = util[int(len(util) * 0.3):]
+        assert sum(plateau) / len(plateau) > 0.5
 
     def test_series_helpers(self):
-        sim = make_sim()
-        sampler = StateSampler(sim, period=40.0)
-        sampler.start()
-        sim.run()
-        util = sampler.utilization_series()
-        queue = sampler.queue_series()
-        assert len(util) == len(queue) == len(sampler.samples)
-        assert all(0.0 <= u <= 1.0 for _, u in util)
-
-    def test_start_idempotent(self):
-        sim = make_sim()
-        sampler = StateSampler(sim, period=30.0)
-        sampler.start()
-        sampler.start()
-        sim.run()
-        times = [s.time for s in sampler.samples]
-        assert len(times) == len(set(times))  # no duplicate ticks
+        observer, _ = observe(40.0)
+        series = observer.series()
+        assert len(series["utilization"]) == len(series["queue_length"]) \
+            == len(series["times"])
+        assert all(0.0 <= u <= 1.0 for u in series["utilization"])
 
     def test_bad_period(self):
         with pytest.raises(ValueError):
-            StateSampler(make_sim(), period=0.0)
+            TrajectoryObserver(0.0)
 
 
 def _fake_figs(gabl=10.0, paging=15.0, util=0.8):

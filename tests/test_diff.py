@@ -58,7 +58,7 @@ class TestParseReport:
         rep = load_report(path)
         assert rep.name == "test"
         assert rep.points[0].key == "k1"
-        assert rep.points[0].summary("mean_turnaround").mean == 100.0
+        assert rep.points[0].stats["mean_turnaround"].mean == 100.0
         assert rep.metric_names() == METRIC_NAMES
 
     def test_missing_file(self, tmp_path):
@@ -104,19 +104,18 @@ class TestParseReport:
         with pytest.raises(DiffError, match="JSON object"):
             parse_report([1, 2, 3])
 
-    def test_scenario_name_fallback(self):
-        doc = make_report([make_point("k")])
-        del doc["name"]
-        doc["scenario"] = {"name": "from-scenario"}
-        assert parse_report(doc).name == "from-scenario"
-
-    def test_mean_only_point_degrades_to_deterministic(self):
+    def test_point_without_full_stats_is_rejected(self):
+        """No writer emits a mean-only point: stats that do not cover
+        every metric are a malformed report, never an n=1 stand-in."""
         doc = make_report([{
             "key": "k", "label": "k", "metrics": {"mean_turnaround": 5.0},
         }])
-        point = parse_report(doc).points[0]
-        s = point.summary("mean_turnaround")
-        assert (s.mean, s.variance, s.n) == (5.0, 0.0, 1)
+        with pytest.raises(DiffError, match="no replication 'stats'"):
+            parse_report(doc)
+        partial = make_report([make_point("k")])
+        del partial["points"][0]["stats"]["utilization"]
+        with pytest.raises(DiffError, match=r"\['utilization'\]"):
+            parse_report(partial)
 
 
 class TestDiffReports:
@@ -243,6 +242,16 @@ class TestDiffCLI:
         assert "FAIL" in capsys.readouterr().err
         # improvements never gate
         assert main(["diff", str(b), str(a), "--fail-on-regress"]) == 0
+
+    def test_point_without_stats_for_a_metric_exits_two(self, tmp_path,
+                                                         capsys):
+        good = write(tmp_path, "a.json", make_report([make_point("k")]))
+        doc = make_report([make_point("k")])
+        del doc["points"][0]["stats"]["mean_turnaround"]
+        bad = write(tmp_path, "b.json", doc)
+        assert main(["diff", str(good), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "no replication 'stats' for ['mean_turnaround']" in err
 
     def test_malformed_and_old_schema_exit_two(self, tmp_path, capsys):
         good = write(tmp_path, "good.json", make_report([make_point("k")]))

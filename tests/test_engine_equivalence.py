@@ -138,13 +138,13 @@ class TestLockstepShapes:
         solo_obs = {}
         ref = []
         for s in seeds:
-            obs = TrajectoryObserver(50.0, spec.run_config.processors)
+            obs = TrajectoryObserver(50.0, spec.config.processors)
             ref.append(build_simulator(spec, s, observers=(obs,)).run())
             solo_obs[s] = obs
         batch_obs = {}
 
         def factory(seed):
-            obs = TrajectoryObserver(50.0, spec.run_config.processors)
+            obs = TrajectoryObserver(50.0, spec.config.processors)
             batch_obs[seed] = obs
             return (obs,)
 
@@ -206,7 +206,7 @@ class TestCampaignIntegration:
         def controller(batch_size):
             return ReplicationController(
                 metrics, min_replications=3, max_replications=9,
-                base_seed=spec.run_config.seed, batch_size=batch_size,
+                base_seed=spec.config.seed, batch_size=batch_size,
                 max_relative_error=1e-9,  # never converges early
             )
 

@@ -11,9 +11,15 @@ import pytest
 
 from repro.cli import main
 from repro.core.config import SimConfig
-from repro.experiments import campaign, scenario
-from repro.experiments.campaign import Campaign, Scale, SerialExecutor
+from repro.experiments import campaign, claims, scenario
+from repro.experiments.campaign import (
+    Campaign,
+    Scale,
+    SerialExecutor,
+    trace_fingerprint,
+)
 from repro.experiments.claims import verify_all
+from repro.experiments.figures import FIGURES
 from repro.experiments.scenario import Scenario
 from repro.experiments.store import ResultCache, reset_global_cache
 from repro.experiments.trajectory import run_saturation_figure
@@ -84,6 +90,64 @@ class TestExecutorKindReachesTheFactory:
         # the scan's rungs and the scenario's own campaign
         assert len(calls) >= 2
         assert set(calls) == {(2, "serial")}
+
+
+@pytest.fixture
+def specs_seen(monkeypatch, tmp_path):
+    """Record, per ``campaign.make_executor`` call, the (engine,
+    topology, channel, arq, trace_source) set of the specs it runs and
+    the trace it registers; a fresh global store makes nothing a hit."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    reset_global_cache()
+    seen: list[tuple[set, object]] = []
+    real = campaign.make_executor
+
+    def spy(jobs, kind=None, specs=(), trace=None):
+        seen.append(({
+            (s.config.engine, s.config.topology, s.config.channel,
+             s.config.arq, s.trace_source) for s in specs
+        }, trace))
+        if getattr(spy, "stop", False):
+            raise _Stop
+        return real(jobs, kind, specs, trace)
+
+    monkeypatch.setattr(campaign, "make_executor", spy)
+    yield seen, spy
+    reset_global_cache()
+
+
+class TestClaimsRunTheRequestedGrid:
+    """``claims`` runs the CLI's config and trace, not the paper default."""
+
+    def test_cli_flags_reach_the_union_campaign(self, specs_seen, tmp_path):
+        seen, spy = specs_seen
+        spy.stop = True  # the union campaign's specs are all this needs
+        swf = tmp_path / "t.swf"
+        swf.write_text("\n".join(
+            f"{i} {i * 50} 0 60 {(i % 5) + 1} -1 -1 {(i % 5) + 1} "
+            "-1 -1 1 1 1 1 -1 -1 -1 -1"
+            for i in range(1, 41)
+        ))
+        with pytest.raises(_Stop):
+            main(["claims", "--engine", "soa", "--topology", "torus",
+                  "--channel", "loss:0.05", "--arq", "go-back-n",
+                  "--swf", str(swf), "-j", "2", "--executor", "serial"])
+        ((grid, trace),) = seen
+        assert trace is not None and len(trace) == 40
+        assert grid == {("soa", "torus", "loss:0.05", "go-back-n",
+                         trace_fingerprint(trace))}
+
+    def test_figure_reads_are_cache_hits(self, specs_seen, monkeypatch):
+        seen, _ = specs_seen
+        # two figures and no checks keep the run small
+        monkeypatch.setattr(claims, "FIGURES",
+                            {f: FIGURES[f] for f in ("fig2", "fig9")})
+        monkeypatch.setattr(claims, "CHECKS", ())
+        config = SimConfig(**TINY, engine="soa")
+        verify_all(config=config, trace=TRACE, jobs=2, executor="serial")
+        # the union campaign is the only one that simulates anything
+        assert seen == [({("soa", "mesh", None, None,
+                           trace_fingerprint(TRACE))}, TRACE)]
 
 
 class TestTrajectoryFanOut:

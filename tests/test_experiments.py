@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.config import SimConfig
 from repro.experiments.figures import COMBOS, FIGURES, combo_label
+from repro.experiments.plot import ascii_chart
 from repro.experiments.report import (
-    ascii_plot,
     check_ranking,
     endpoint_ratio,
+    figure_chart,
     format_figure,
     series_leq,
 )
@@ -188,6 +189,6 @@ class TestReport:
         assert "expected" in problems[0]
 
     def test_ascii_plot_renders(self):
-        art = ascii_plot(_fake_result())
+        art = ascii_chart(figure_chart(_fake_result()))
         assert "A = GABL(FCFS)" in art
         assert "A" in art.split("\n")[1] or "A" in art

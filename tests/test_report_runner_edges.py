@@ -3,9 +3,10 @@
 import pytest
 
 from repro.experiments.figures import FIGURES
+from repro.experiments.plot import ascii_chart
 from repro.experiments.report import (
-    ascii_plot,
     endpoint_ratio,
+    figure_chart,
     format_figure,
     mean_of,
     series_leq,
@@ -36,7 +37,7 @@ class TestReportEdges:
 
     def test_ascii_plot_constant_series(self):
         r = fig({"A": (5.0, 5.0), "B": (5.0, 5.0)})
-        art = ascii_plot(r)  # flat series must not divide by zero
+        art = ascii_chart(figure_chart(r))  # flat series: no divide by zero
         assert "A = A" in art
 
     def test_mean_of_empty(self):

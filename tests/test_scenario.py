@@ -229,6 +229,33 @@ class TestScenarioCLI:
         assert main(["scenario", str(bad)]) == 2
         assert "allocator" in capsys.readouterr().err
 
+    def test_allocators_are_checked_on_the_configured_mesh(self, tmp_path,
+                                                          capsys):
+        """Paging(3) fits the 8x8 config and runs; Paging(2) does not fit
+        the default 16x22 mesh and fails at load time, not in a worker."""
+        from repro.cli import main
+
+        fits = tmp_path / "fits.json"
+        fits.write_text(json.dumps({**SMALL, "allocs": ["Paging(3)"]}))
+        assert main(["scenario", str(fits)]) == 0
+        assert "Paging(3)(FCFS)" in capsys.readouterr().out
+        off = tmp_path / "off.json"
+        off.write_text(json.dumps({
+            "name": "off", "workload": "uniform", "loads": [0.02],
+            "allocs": ["Paging(2)"],
+        }))
+        assert main(["scenario", str(off)]) == 2
+        err = capsys.readouterr().err
+        assert "16x22 mesh" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("allocs", "GABL"), ("scheds", "FCFS"), ("loads", "0.02"),
+        ("channels", "loss:0.1"),
+    ])
+    def test_string_axis_is_rejected_not_split(self, key, value):
+        with pytest.raises(ValueError, match=f"sweep axis '{key}'"):
+            Scenario.from_dict({**SMALL, key: value})
+
     def test_cli_flags_override_scenario_file(self, capsys):
         """Explicit --network-mode/--topology flags apply to the run."""
         from repro.cli import main

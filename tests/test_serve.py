@@ -26,6 +26,7 @@ from repro.experiments.serve import (
     make_server,
 )
 from repro.experiments.service_client import ServiceClient, ServiceError
+from repro.stats.compare import MetricSummary
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = str(REPO / "src")
@@ -95,14 +96,18 @@ class TestNonCurrentShards:
         {"mean_turnaround": 1.0},
         {"schema": 1, "means": {"mean_turnaround": 1.0}},
         {"schema": 2, "means": [1.0]},
-    ], ids=["schema-1 bare means", "older schema", "non-mapping means"])
+        {"schema": 2, "means": {"mean_turnaround": 1.0}, "replications": 1},
+    ], ids=["schema-1 bare means", "older schema", "non-mapping means",
+            "no stats"])
     def test_report_leaves_them_out(self, tmp_path, value):
         svc = CampaignService(store=tmp_path / "shards")
         svc.close()  # no worker: the report reads the store alone
         job = svc.submit(SWEEP_DOC)
         current, stale = job.campaign.points
         svc.cache.put(current.key(), PointResult(
-            {"mean_turnaround": 2.0}, replications=1).to_payload())
+            {"mean_turnaround": 2.0},
+            {"mean_turnaround": MetricSummary(2.0, 0.0, 1)},
+            replications=1).to_payload())
         svc.cache.put(stale.key(), value)
         report = svc.job_report(job.id)
         assert [p["key"] for p in report["points"]] == [current.key()]
@@ -143,6 +148,31 @@ class TestServiceEndpoints:
         with pytest.raises(ServiceError, match="HTTP 400"):
             client.submit({"name": "x", "bogus": True})
 
+    @pytest.mark.parametrize("overrides", [
+        {"workloads": "uniform"},
+        {"allocs": "GABL"},
+        {"loads": "0.02"},
+        {"workloads": ["bogus"]},
+        {"allocs": ["NOPE"]},
+        {"allocs": ["Paging(2)"]},
+        {"scheds": ["LIFO"]},
+        {"scale": "warp9"},
+        {"allocs": [5]},
+        {"scheds": [["FCFS"]]},
+        {"loads": 5},
+    ], ids=["string workloads", "string allocs", "string loads",
+            "unknown workload", "unknown allocator",
+            "allocator off the mesh", "unknown scheduler", "unknown scale",
+            "non-string allocator", "unhashable scheduler",
+            "non-list loads"])
+    def test_bad_sweep_is_http_400_and_creates_no_job(self, service,
+                                                      overrides):
+        svc, client = service
+        with pytest.raises(ServiceError, match="HTTP 400"):
+            client.submit({**SWEEP_DOC, **overrides})
+        assert client.status()["jobs"] == []
+        assert not list(svc.jobs_dir.glob("*.json"))
+
     def test_unknown_job_is_http_404(self, service):
         svc, client = service
         with pytest.raises(ServiceError, match="HTTP 404"):
@@ -169,6 +199,22 @@ class TestServiceEndpoints:
             assert len(report["points"]) == 1
         finally:
             twin.close()
+
+    def test_manifest_that_no_longer_validates_is_skipped_on_boot(
+        self, tmp_path
+    ):
+        jobs_dir = tmp_path / "shards" / "jobs"
+        jobs_dir.mkdir(parents=True)
+        stale = {**SWEEP_DOC, "workloads": "uniform"}
+        (jobs_dir / "stale.json").write_text(json.dumps(
+            {"id": "stale", "doc": stale, "submitted_at": 0.0}
+        ))
+        svc = CampaignService(store=tmp_path / "shards")
+        try:
+            assert svc.status()["jobs"] == []
+        finally:
+            svc.close()
+
 
 
 # ------------------------------------------------- the restart drill (E2E)

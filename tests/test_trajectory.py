@@ -65,6 +65,15 @@ class TestDiffTrajectories:
         assert trajectory_verdict({}) == "identical"
 
 
+def _util(value):
+    """A report point's utilization metric with its replication stats,
+    as every report writer emits them."""
+    return {
+        "metrics": {"utilization": value},
+        "stats": {"utilization": {"mean": value, "variance": 0.0, "n": 1}},
+    }
+
+
 class TestReportTrajectoryDiff:
     def _report(self, util_b=None):
         """A minimal schema-3 two-report pair sharing one point."""
@@ -79,7 +88,7 @@ class TestReportTrajectoryDiff:
                     "load": 0.02,
                     "alloc": "GABL",
                     "sched": "FCFS",
-                    "metrics": {"utilization": 0.5},
+                    **_util(0.5),
                     "trajectory": _traj(
                         [0.0, 64.0], utilization=util,
                     ),
@@ -119,7 +128,7 @@ class TestReportTrajectoryDiff:
                 "name": "t",
                 "points": [{
                     "key": "k1", "label": "p1",
-                    "metrics": {"utilization": 0.5},
+                    **_util(0.5),
                 }],
             },
             source="stripped",
@@ -133,12 +142,12 @@ class TestReportTrajectoryDiff:
             "points": [
                 {
                     "key": "k1", "label": "p1",
-                    "metrics": {"utilization": 0.5},
+                    **_util(0.5),
                     "trajectory": _traj([0.0], utilization=[0.5]),
                 },
                 {
                     "key": "k2", "label": "p2",
-                    "metrics": {"utilization": 0.4},
+                    **_util(0.4),
                 },
             ],
         }
@@ -177,7 +186,7 @@ class TestMalformedTrajectories:
                 "schema": 3, "name": "t",
                 "points": [{
                     "key": "k", "label": "p",
-                    "metrics": {"utilization": 0.5},
+                    **_util(0.5),
                     "trajectory": {"utilization": [0.5]},
                 }],
             }, source="t")
@@ -188,7 +197,7 @@ class TestMalformedTrajectories:
                 "schema": 3, "name": "t",
                 "points": [{
                     "key": "k", "label": "p",
-                    "metrics": {"utilization": 0.5},
+                    **_util(0.5),
                     "trajectory": _traj(times, utilization=[0.5, 0.6]),
                 }],
             }, source="t")
@@ -263,7 +272,7 @@ class TestPlotRendering:
                     "key": f"k{i}-{w}", "label": f"{w} load={ld:g} GABL(FCFS)",
                     "workload": w, "load": ld, "alloc": "GABL",
                     "sched": "FCFS",
-                    "metrics": {"utilization": 0.5 + i / 10},
+                    **_util(0.5 + i / 10),
                 }
                 for w in (long_a, long_b)
                 for i, ld in enumerate((0.01, 0.02))
@@ -283,7 +292,7 @@ class TestPlotRendering:
                 "schema": 3, "name": "t",
                 "points": [{
                     "key": "k", "label": "p",
-                    "metrics": {"utilization": 0.5},
+                    **_util(0.5),
                 }],
             },
             source="t",
@@ -301,7 +310,7 @@ class TestPlotRendering:
                 "schema": 3, "name": "t",
                 "points": [{
                     "key": "k", "label": "p",
-                    "metrics": {"utilization": 0.5},
+                    **_util(0.5),
                 }],
             },
             source="t",
