@@ -7,7 +7,8 @@ of every other.  This module turns that grid into an explicit *campaign*:
 * :class:`PointSpec` -- one frozen, picklable simulation cell (workload,
   load, allocator, scheduler, scale, config, network mode).  Its
   :meth:`~PointSpec.key` is a stable JSON document of the field values,
-  which doubles as the result-store key;
+  which doubles as the result-store key; it is encoded once per spec and
+  kept in a slot outside equality, hashing and ``repr``;
 * :class:`Campaign` -- enumerates the union of cells needed by a set of
   figures (or an arbitrary grid sweep), deduplicates cells shared
   between figures (the uniform sweep feeds Figs. 3, 6, 9, 12 and 15 but
@@ -29,22 +30,26 @@ on the collected batch, and unconverged points submit further seeds
 round by round.  SoA-engine points send a whole batch as one lockstep
 task; reference-engine points send one task per seed.
 
-Work is dispatched from a single queue in **longest-estimated-first**
-order (:class:`_CostModel`): a point's cost is estimated up front from
+Work is dispatched in **longest-estimated-first** order
+(:class:`_CostModel`): a point's cost is estimated up front from
 ``load x replication bounds x stream length`` and refined online from
 observed batch runtimes, so the heaviest cells start earliest and a
-straggler cannot serialise the tail of the campaign.
+straggler cannot serialise the tail of the campaign.  Pending points
+wait in one bucket per cost class, each pre-sorted by base cost
+(:class:`_DispatchQueue`), so a pick compares only the bucket heads:
+O(classes) per pick, not O(pending).
 
 The **thread** executor is the fast path when points run on the
 compiled SoA lane driver: ctypes calls release the GIL for the whole
 lane-driver event loop (see :mod:`repro.core._soa_native`), so lanes of
 different points genuinely run in parallel while sharing one in-process
-:class:`~repro.workload.columnar.BlockCache`, parse-once trace columns
-and the result store -- no worker startup, no pickling, no per-worker
-re-parsing.  Tasks never carry an external trace: a work unit resolves
-it from its spec's ``trace_source`` fingerprint, registered by the
-campaign in its own process and by the pool initializer in worker
-processes.  Finished points persist through the store's coalesced
+:class:`~repro.workload.columnar.BlockCache`, the trace-replay memos
+(per-trace state and derived columns) and the result store -- no worker
+startup, no pickling, no per-worker re-parsing.  Tasks never carry an
+external trace: a work unit resolves it from its spec's
+``trace_source`` fingerprint, registered by the campaign in its own
+process and by the pool initializer in worker processes.  Finished
+points persist through the store's coalesced
 :meth:`~repro.experiments.store.ResultCache.put_many` path -- one fsync
 per drained batch, not one per point.
 """
@@ -61,7 +66,7 @@ import threading
 import time
 from collections.abc import Mapping as _MappingABC
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.alloc import make_allocator
@@ -309,7 +314,9 @@ def make_workload(
     if workload == "exponential":
         return StochasticWorkload(config, load, sides="exponential")
     if workload == "real":
-        jobs = list(trace) if trace is not None else sdsc_trace(scale.trace_max_jobs)
+        # no copy: the memoised SDSC list or the registered external
+        # trace is what keys TraceWorkload's per-trace replay memo
+        jobs = trace if trace is not None else sdsc_trace(scale.trace_max_jobs)
         return TraceWorkload(config, jobs, load, max_jobs=scale.trace_max_jobs)
     if is_pipeline_spec(workload):
         return build_pipeline(
@@ -345,6 +352,11 @@ class PointSpec:
     The stored ``config`` is normalised to the *run* config (job count
     pinned by the scale preset), so spec equality, hashing and
     :meth:`key` all agree on what constitutes the same cell.
+
+    :meth:`key` is encoded on first use and kept in the ``_key`` slot,
+    which takes no part in ``==``, ``hash`` or ``repr`` and survives
+    pickling.  A slot rather than a memo keyed by the spec, so specs
+    with unhashable axes still reach the campaign's validation.
     """
 
     workload: str
@@ -357,6 +369,9 @@ class PointSpec:
     #: an explicit value overrides it
     network_mode: str | None = None
     trace_source: str = "sdsc"  #: "sdsc" or an external-trace fingerprint
+    _key: str | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         # normalise so equality/hashing/key() agree: every workload
@@ -397,6 +412,13 @@ class PointSpec:
         """Stable structured store key: JSON of every outcome-affecting
         field.  Unlike a joined string, a field value containing a
         separator or drifting float repr cannot alias another point."""
+        key = self._key
+        if key is None:
+            key = self._encode_key()
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def _encode_key(self) -> str:
         lo, hi = self.replication_bounds
         cfg = dataclasses.asdict(self.config)
         # the execution engine never affects results (bit-identical by
@@ -630,6 +652,8 @@ class _CostModel:
 
     def __init__(self) -> None:
         self._rates: dict[tuple[str, str, str], float] = {}
+        #: mean of the known rates, refreshed by :meth:`observe`
+        self._mean_rate = 1.0
 
     @staticmethod
     def _class_key(spec: PointSpec) -> tuple[str, str, str]:
@@ -647,16 +671,14 @@ class _CostModel:
         reps = (lo + hi) / 2.0
         return max(spec.load, 1e-9) * reps * self._stream_length(spec)
 
+    def rate(self, class_key: tuple[str, str, str]) -> float:
+        """Observed seconds per base unit of a class (the mean known
+        rate for an unobserved class, 1.0 before any observation)."""
+        return self._rates.get(class_key, self._mean_rate)
+
     def estimate(self, spec: PointSpec) -> float:
-        """Estimated wall-clock cost (base units scaled by the observed
-        per-class rate; unobserved classes use the mean known rate)."""
-        rate = self._rates.get(self._class_key(spec))
-        if rate is None:
-            rate = (
-                sum(self._rates.values()) / len(self._rates)
-                if self._rates else 1.0
-            )
-        return self.base(spec) * rate
+        """Estimated wall-clock cost: base units scaled by the class rate."""
+        return self.base(spec) * self.rate(self._class_key(spec))
 
     def observe(self, spec: PointSpec, seconds: float, seeds: int) -> None:
         """Fold one completed batch's wall time into the class rate."""
@@ -673,6 +695,51 @@ class _CostModel:
         self._rates[key] = (
             rate if old is None else old + self.ALPHA * (rate - old)
         )
+        self._mean_rate = sum(self._rates.values()) / len(self._rates)
+
+
+class _DispatchQueue:
+    """Pending points in longest-estimated-first order.
+
+    Points wait in one bucket per cost class, each sorted once by
+    ``(-base, first-seen index)``.  All points of a class share its
+    rate, so a bucket's head is its costliest point, and a pick compares
+    only the heads by estimate (ties to the earliest-seen point): the
+    same pick as ``max(pending, key=model.estimate)`` over the pending
+    list in first-seen order, at O(classes) instead of O(pending).
+    (Were rounding ever to give two distinct bases of one class equal
+    estimates, the larger base goes first.)
+    """
+
+    def __init__(self, model: _CostModel, specs: Iterable[PointSpec]) -> None:
+        self._model = model
+        buckets: dict[tuple[str, str, str], list] = {}
+        for index, spec in enumerate(specs):
+            buckets.setdefault(model._class_key(spec), []).append(
+                (model.base(spec), index, spec)
+            )
+        for bucket in buckets.values():
+            # head last, so a pick pops in O(1)
+            bucket.sort(key=lambda e: (-e[0], e[1]), reverse=True)
+        self._buckets = buckets
+
+    def __bool__(self) -> bool:
+        return bool(self._buckets)
+
+    def pop(self) -> PointSpec:
+        """Remove and return the point with the largest estimate."""
+        rate = self._model.rate
+
+        def head(item) -> tuple[float, int]:
+            class_key, bucket = item
+            base, index, _spec = bucket[-1]
+            return base * rate(class_key), -index
+
+        class_key, bucket = max(self._buckets.items(), key=head)
+        spec = bucket.pop()[2]
+        if not bucket:
+            del self._buckets[class_key]
+        return spec
 
 
 @functools.lru_cache(maxsize=None)
@@ -839,10 +906,10 @@ class Campaign:
         before a fork-started pool spins up.
 
         The memo caches involved (:func:`sdsc_trace`'s trace memo,
-        :class:`~repro.workload.trace.TraceWorkload`'s column memo and
-        the columnar block cache) are module globals, so fork children
-        inherit the parsed state instead of every worker re-parsing the
-        trace from scratch on its first task.
+        :class:`~repro.workload.trace.TraceWorkload`'s replay and column
+        memos and the columnar block cache) are module globals, so fork
+        children inherit the parsed state instead of every worker
+        re-parsing the trace from scratch on its first task.
         """
         seen: set[tuple] = set()
         for spec in specs:
@@ -919,10 +986,10 @@ class Campaign:
         # an interrupted campaign loses at most the rounds in flight,
         # and unconverged points resubmit seeds without waiting on
         # unrelated cells.  New work dispatches longest-estimated-first
-        # from a single pending queue, topped up whenever the in-flight
-        # window (2x the worker count) has room.
+        # from the bucketed pending queue, topped up whenever the
+        # in-flight window (2x the worker count) has room.
         model = _CostModel()
-        pending: list[PointSpec] = list(controllers)
+        pending = _DispatchQueue(model, controllers)
         window = 1 if isinstance(exe, SerialExecutor) or jobs <= 1 else 2 * jobs
         inflight: dict[futures.Future, tuple[PointSpec, tuple[int, ...]]] = {}
         batch_seeds: dict[PointSpec, tuple[int, ...]] = {}
@@ -982,9 +1049,7 @@ class Campaign:
 
         def top_up() -> None:
             while pending and len(inflight) < window:
-                nxt = max(pending, key=model.estimate)
-                pending.remove(nxt)
-                submit_batch(nxt)
+                submit_batch(pending.pop())
 
         def flush() -> None:
             if writes:

@@ -187,11 +187,16 @@ class ResultCache:
         return dict(value) if isinstance(value, dict) else None
 
     def _write_shard(self, key: str, value: Mapping) -> None:
-        self.path.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
+        data = json.dumps({"key": key, "value": dict(value)}).encode()
         try:
-            with os.fdopen(fd, "w") as f:
-                json.dump({"key": key, "value": dict(value)}, f)
+            fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
+        except FileNotFoundError:
+            # first write, or the directory was removed since
+            self.path.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
             os.replace(tmp, self.path / _shard_name(key))
         except BaseException:
             try:

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
 from scipy import stats as _scipy_stats
+
+
+@functools.lru_cache(maxsize=1024)
+def _t_quantile(confidence: float, df: int) -> float:
+    """Two-sided Student-t critical value for ``df`` degrees of freedom
+    (memoised: stopping-rule checks ask for the same few pairs)."""
+    return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
 
 
 def mean_confidence_interval(
@@ -28,8 +36,7 @@ def mean_confidence_interval(
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     if var == 0.0:
         return mean, 0.0
-    t = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, n - 1))
-    return mean, t * math.sqrt(var / n)
+    return mean, _t_quantile(confidence, n - 1) * math.sqrt(var / n)
 
 
 def relative_error(mean: float, half_width: float) -> float:

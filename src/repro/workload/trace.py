@@ -99,8 +99,59 @@ def trace_stats(jobs: Sequence[TraceJob]) -> TraceStats:
     )
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class _Replay:
+    """The load-independent state every replay of one trace prefix shares."""
+
+    #: the trace the memo key's ``id`` names, held so the id stays unique
+    source: Sequence[TraceJob]
+    trace: tuple[TraceJob, ...]  #: the replayed prefix
+    stats: TraceStats
+    arrivals: np.ndarray
+    sizes: np.ndarray
+    runtimes: np.ndarray
+    messages: tuple[int, ...]  #: quantile-matched per-job demands
+    digest: str  #: content digest of the three column arrays
+
+
+#: most :class:`_Replay` entries kept; the oldest is evicted first
+REPLAY_MEMO_SIZE = 16
+
+#: per-trace replay state, keyed by the trace object's identity, the
+#: prefix length and the demand parameters (see :meth:`TraceWorkload._replay`)
+_REPLAY_MEMO: dict[tuple, _Replay] = {}
+
+#: serialises replay-state derivation, like :data:`_COLUMN_LOCK`
+_REPLAY_LOCK = threading.Lock()
+
+
+def _quantile_matched_demands(
+    runtimes: np.ndarray, mean_messages: float, max_messages: int
+) -> list[int]:
+    """Per-job message counts: exponential marginal with mean
+    ``mean_messages``, rank-correlated with the recorded runtimes and
+    clamped to ``[1, max_messages]``."""
+    n = len(runtimes)
+    # ordinal ranks (ties keep trace order), scaled into (0, 1)
+    order = np.argsort(runtimes, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.arange(1, n + 1)
+    demands = -mean_messages * np.log1p(-(ranks / (n + 1)))
+    # np.rint rounds half to even, exactly like round()
+    counts = np.maximum(np.rint(demands).astype(np.int64), 1)
+    return np.minimum(counts, max_messages).tolist()
+
+
 class TraceWorkload(Workload):
-    """Replay a trace at a chosen system load."""
+    """Replay a trace at a chosen system load.
+
+    The load-independent state (prefix, stats, column arrays, demands,
+    digest) comes from a bounded process-wide memo keyed by the trace
+    object, so a campaign replaying one trace at many loads derives it
+    once.  Instances share it read-only: ``trace`` is a tuple and the
+    arrays are not writeable.  A trace must not be mutated after it has
+    been replayed.
+    """
 
     def __init__(
         self,
@@ -114,11 +165,12 @@ class TraceWorkload(Workload):
             raise ValueError(f"load must be positive, got {load}")
         if not trace:
             raise ValueError("empty trace")
-        self.trace = list(trace[:max_jobs]) if max_jobs else list(trace)
-        if len(self.trace) < 2:
-            raise ValueError("trace replay needs at least two jobs")
+        #: mean per-processor message count (DESIGN.md section 2.3)
+        self.mean_messages = config.num_mes * config.trace_demand_multiplier
+        replay = self._replay(trace, max_jobs)
+        self.trace = replay.trace
         self.load = load
-        self.stats = trace_stats(self.trace)
+        self.stats = replay.stats
         #: the paper's arrival-time multiplier f.  A burst trace (all
         #: arrivals simultaneous) has no inter-arrival scale to stretch,
         #: so it replays unscaled.
@@ -126,30 +178,58 @@ class TraceWorkload(Workload):
             self.factor = 1.0 / (self.stats.mean_interarrival * load)
         else:
             self.factor = 1.0
-        #: mean per-processor message count (DESIGN.md section 2.3)
-        self.mean_messages = config.num_mes * config.trace_demand_multiplier
         self.name = "real-trace"
-        self._arrivals = np.array([tj.arrival for tj in self.trace])
-        self._sizes = np.array([tj.size for tj in self.trace], dtype=np.int64)
-        self._runtimes = np.array([tj.runtime for tj in self.trace])
-        self._messages = self._quantile_matched_demands()
-        self._digest: str | None = None
+        self._arrivals = replay.arrivals
+        self._sizes = replay.sizes
+        self._runtimes = replay.runtimes
+        self._messages = replay.messages
+        self._digest = replay.digest
 
-    def _quantile_matched_demands(self) -> list[int]:
-        """Per-job message counts: exponential marginal with the paper's
-        mean, rank-correlated with the recorded runtimes."""
-        cfg = self.config
-        runtimes = self._runtimes
-        # average ranks for ties, scaled into (0, 1)
-        order = np.argsort(runtimes, kind="stable")
-        ranks = np.empty(len(runtimes), dtype=np.float64)
-        ranks[order] = np.arange(1, len(runtimes) + 1)
-        quantiles = ranks / (len(runtimes) + 1)
-        demands = -self.mean_messages * np.log1p(-quantiles)
-        # round() already returns an int; no cast needed
-        return [
-            min(max(1, round(k)), cfg.max_messages) for k in demands
-        ]
+    def _replay(self, trace: Sequence[TraceJob], max_jobs: int | None) -> _Replay:
+        """The memoised load-independent state of ``trace[:max_jobs]``.
+
+        Keyed by ``id(trace)``: the entry holds ``trace`` itself, so no
+        other object can take that id while the entry lives.
+        """
+        key = (id(trace), len(trace), max_jobs, self.mean_messages,
+               self.config.max_messages)
+        replay = _REPLAY_MEMO.get(key)
+        if replay is not None:
+            return replay
+        with _REPLAY_LOCK:
+            replay = _REPLAY_MEMO.get(key)
+            if replay is None:
+                replay = self._derive_replay(trace, max_jobs)
+                if len(_REPLAY_MEMO) >= REPLAY_MEMO_SIZE:
+                    del _REPLAY_MEMO[next(iter(_REPLAY_MEMO))]
+                _REPLAY_MEMO[key] = replay
+            return replay
+
+    def _derive_replay(
+        self, trace: Sequence[TraceJob], max_jobs: int | None
+    ) -> _Replay:
+        prefix = tuple(trace[:max_jobs]) if max_jobs else tuple(trace)
+        if len(prefix) < 2:
+            raise ValueError("trace replay needs at least two jobs")
+        arrivals = np.array([tj.arrival for tj in prefix])
+        sizes = np.array([tj.size for tj in prefix], dtype=np.int64)
+        runtimes = np.array([tj.runtime for tj in prefix])
+        h = hashlib.sha256()
+        for col in (arrivals, sizes, runtimes):
+            h.update(col.tobytes())
+            col.flags.writeable = False
+        return _Replay(
+            source=trace,
+            trace=prefix,
+            stats=trace_stats(prefix),
+            arrivals=arrivals,
+            sizes=sizes,
+            runtimes=runtimes,
+            messages=tuple(_quantile_matched_demands(
+                runtimes, self.mean_messages, self.config.max_messages
+            )),
+            digest=h.hexdigest()[:24],
+        )
 
     def jobs(self, seed: int) -> Iterator[Job]:
         """The deterministic replay stream (``seed`` is ignored)."""
@@ -175,12 +255,6 @@ class TraceWorkload(Workload):
 
     def block_fingerprint(self) -> tuple:
         """Stream identity: trace content digest + every shaping knob."""
-        if self._digest is None:
-            h = hashlib.sha256()
-            h.update(self._arrivals.tobytes())
-            h.update(self._sizes.tobytes())
-            h.update(self._runtimes.tobytes())
-            self._digest = h.hexdigest()[:24]
         cfg = self.config
         return (
             "trace", self._digest, len(self.trace), self.factor,
@@ -192,9 +266,9 @@ class TraceWorkload(Workload):
         """The whole replay as one memoised column block.
 
         Derivation (quantised scaled arrivals, Mache--Lo--Windisch
-        shaping via per-unique-size lookup, quantile-matched demands)
-        runs once per process for a given fingerprint; later workload
-        instances over the same trace and parameters reuse the arrays.
+        shaping via per-unique-size lookup) runs once per process for a
+        given fingerprint; later workload instances over the same trace
+        and parameters reuse the arrays.
         Thread-safe: derivation serialises on a module lock, so a
         thread pool racing through first use computes each fingerprint
         once (the memoised columns are frozen read-only).

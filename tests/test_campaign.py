@@ -2,6 +2,8 @@
 equivalence, and the sharded concurrency-safe result store."""
 
 import json
+import pickle
+import random
 from concurrent import futures
 
 import pytest
@@ -82,11 +84,146 @@ class TestPointSpec:
         assert _spec(scale=TWO_REPS).replication_bounds == (2, 2)
 
     def test_spec_is_hashable_and_picklable(self):
-        import pickle
-
         spec = _spec()
         assert pickle.loads(pickle.dumps(spec)) == spec
         assert len({spec, _spec()}) == 1
+
+
+class TestKeyMemo:
+    """``key()`` is encoded once per spec and kept in a slot that takes
+    no part in equality, hashing or ``repr``."""
+
+    def test_key_equals_a_fresh_encoding(self):
+        spec = _spec()
+        first = spec.key()
+        assert spec.key() is first  # encoded once, then read back
+        assert first == _spec()._encode_key()
+        lossy = _spec(config=TINY.with_(channel="loss:0.1", arq="selective-repeat"))
+        assert lossy.key() == lossy._encode_key()
+        assert json.loads(lossy.key())["channel"] == "loss:0.1"
+
+    def test_slot_stays_out_of_eq_hash_and_repr(self):
+        keyed, fresh = _spec(), _spec()
+        keyed.key()
+        assert keyed._key is not None and fresh._key is None
+        assert keyed == fresh
+        assert hash(keyed) == hash(fresh)
+        assert repr(keyed) == repr(fresh)
+        assert "_key" not in repr(keyed)
+
+    def test_key_survives_pickling(self):
+        spec = _spec()
+        key = spec.key()
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone._key == key and clone.key() == key
+        # an unkeyed spec pickles unkeyed and encodes on first use
+        clone = pickle.loads(pickle.dumps(_spec(load=0.02)))
+        assert clone._key is None
+        assert clone.key() == _spec(load=0.02)._encode_key()
+
+    def test_keys_agree_after_a_process_pool_campaign(self, tmp_path):
+        campaign = Campaign.sweep(["uniform"], [0.01, 0.02], ["GABL"],
+                                  ["FCFS"], scale=SMOKE, config=TINY)
+        cache = ResultCache(tmp_path / "pool")
+        out = campaign.run(jobs=2, cache=cache, executor_kind="process")
+        assert set(out) == set(campaign.points)
+        for spec in out:
+            assert spec.key() == spec._encode_key()
+            assert cache.get(spec._encode_key()) == out[spec].to_payload()
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"sched": ["FCFS"]}, "bad allocator or scheduler name"),
+        ({"alloc": {"GABL": 1}}, "bad allocator or scheduler name"),
+        ({"alloc": "NOPE"}, "bad allocator 'NOPE'"),
+        ({"sched": "LIFO"}, "bad scheduler 'LIFO'"),
+    ], ids=["unhashable scheduler", "unhashable allocator",
+            "unknown allocator", "unknown scheduler"])
+    def test_bad_axes_still_reach_validation(self, overrides, match):
+        # the key slot needs no hashing, so an unhashable axis is keyed
+        # and then rejected by validation (HTTP 400 from the service,
+        # see tests/test_serve.py)
+        spec = _spec(**overrides)
+        assert json.loads(spec.key())["alloc"] == spec.alloc
+        with pytest.raises(ValueError, match=match):
+            Campaign([spec])
+
+
+def _mixed_specs() -> list[PointSpec]:
+    """A 3-workload sweep with repeated loads: distinct bases within a
+    class, equal bases across classes."""
+    specs = []
+    for workload in ("real", "uniform", "exponential"):
+        specs.extend(Campaign.sweep(
+            [workload], [0.02, 0.005, 0.01, 0.03, 0.015], ["GABL", "MBS"],
+            ["FCFS", "SSD"], scale=TWO_REPS, config=TINY,
+        ).points)
+    return specs
+
+
+class TestDispatchOrder:
+    """The bucketed queue picks exactly what a brute-force
+    ``max(pending, key=model.estimate)`` scan would."""
+
+    def _replay(self, specs, observe_every: int, observe_classes=None):
+        rng = random.Random(5)
+        model = campaign_module._CostModel()
+        queue = campaign_module._DispatchQueue(model, specs)
+        pending = list(specs)
+        picks = []
+        while pending:
+            want = max(pending, key=model.estimate)
+            pending.remove(want)
+            got = queue.pop()
+            assert got is want, f"pick {len(picks)}"
+            picks.append(got)
+            if len(picks) % observe_every == 0 and (
+                observe_classes is None
+                or model._class_key(got) in observe_classes
+            ):
+                model.observe(got, rng.uniform(0.01, 2.0), rng.randint(1, 3))
+        assert not queue
+        return model, picks
+
+    def test_without_observations_orders_by_base_then_first_seen(self):
+        specs = _mixed_specs()
+        model, picks = self._replay(specs, observe_every=10**9)
+        bases = [model.base(s) for s in picks]
+        assert bases == sorted(bases, reverse=True)
+        assert len(set(bases)) > 3  # distinct bases
+        # equal bases go in first-seen order
+        for a, b in zip(picks, picks[1:]):
+            if model.base(a) == model.base(b):
+                assert specs.index(a) < specs.index(b)
+
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    def test_matches_brute_force_with_observations_between_picks(self, every):
+        self._replay(_mixed_specs(), observe_every=every)
+
+    def test_unobserved_classes_use_the_mean_known_rate(self):
+        specs = _mixed_specs()
+        observed = {("uniform", "GABL", "FCFS"), ("real", "MBS", "SSD")}
+        model, _ = self._replay(specs, observe_every=1,
+                                observe_classes=observed)
+        assert set(model._rates) == observed
+        mean = sum(model._rates.values()) / len(model._rates)
+        spec = next(s for s in specs
+                    if model._class_key(s) not in observed)
+        assert model.estimate(spec) == model.base(spec) * mean
+
+    def test_campaign_run_dispatches_through_the_queue(self, monkeypatch,
+                                                       tmp_path):
+        specs = _mixed_specs()[:6]
+        order = []
+        real_pop = campaign_module._DispatchQueue.pop
+
+        def spy(self):
+            spec = real_pop(self)
+            order.append(spec)
+            return spec
+
+        monkeypatch.setattr(campaign_module._DispatchQueue, "pop", spy)
+        Campaign(specs).run(jobs=1, cache=ResultCache(tmp_path / "c"))
+        assert sorted(order, key=specs.index) == specs
 
 
 class TestCampaignEnumeration:

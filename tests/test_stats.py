@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.stats.ci import mean_confidence_interval, relative_error
+from scipy import stats as scipy_stats
+
+from repro.stats.ci import _t_quantile, mean_confidence_interval, relative_error
 from repro.stats.replication import ReplicationController, run_replications
 from repro.stats.welford import Welford
 
@@ -95,6 +97,20 @@ class TestCI:
         _, hw95 = mean_confidence_interval(values, 0.95)
         _, hw99 = mean_confidence_interval(values, 0.99)
         assert hw99 > hw95
+
+    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+    def test_cached_t_quantile_equals_scipy(self, confidence):
+        for df in range(1, 201):
+            want = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
+            assert _t_quantile(confidence, df) == want
+            assert _t_quantile(confidence, df) == want  # cache hit
+
+    def test_half_width_uses_the_exact_t_quantile(self):
+        values = [1.0, 3.0, 2.0, 5.0, 4.0, 2.5]
+        mean, hw = mean_confidence_interval(values, 0.9)
+        var = sum((v - mean) ** 2 for v in values) / 5
+        t = float(scipy_stats.t.ppf(0.95, 5))
+        assert hw == t * math.sqrt(var / 6)
 
     def test_relative_error(self):
         assert relative_error(10.0, 0.5) == pytest.approx(0.05)

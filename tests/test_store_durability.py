@@ -4,8 +4,10 @@ drain loop's flush-on-teardown contract."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import shutil
 import time
 
 import pytest
@@ -77,6 +79,36 @@ class TestTempReaping:
             p.write_text("x")
             backdate(p)
         assert ResultCache(tmp_path / "shards")._reap_temps() in (0, 3)
+        assert not list(cache.path.glob("*.tmp"))
+
+
+class TestShardWrites:
+    @pytest.mark.parametrize("value", [
+        {"m": 1.5, "k": 2.0},
+        {"schema": 2, "means": {"mean_wait": 0.1 + 0.2, "utilization": 1e-17},
+         "stats": {"x": {"mean": 3.0, "n": 2}}, "replications": 3,
+         "converged": False, "label": "caf\u00e9 \"q\" / \\"},
+    ], ids=["flat", "nested-unicode"])
+    def test_shard_bytes_equal_json_dump(self, tmp_path, value):
+        cache = ResultCache(tmp_path / "shards")
+        key = '{"load":0.01,"workload":"real*0.5 | thin:0.8"}'
+        cache.put(key, value)
+        buf = io.StringIO()
+        json.dump({"key": key, "value": dict(value)}, buf)
+        shard = cache.path / _shard_name(key)
+        assert shard.read_bytes() == buf.getvalue().encode()
+
+    def test_removed_shard_directory_is_recreated(self, tmp_path):
+        cache = ResultCache(tmp_path / "shards")
+        assert not cache.path.exists()  # created by the first write
+        cache.put("a", {"v": 1})
+        shutil.rmtree(cache.path)
+        cache.put_many([("b", {"v": 2}), ("c", {"v": 3})])
+        assert cache.disk  # not dropped to memory-only
+        reopened = ResultCache(tmp_path / "shards")
+        assert reopened.get("b") == {"v": 2}
+        assert reopened.get("c") == {"v": 3}
+        assert reopened.get("a") is None  # went with the directory
         assert not list(cache.path.glob("*.tmp"))
 
 

@@ -13,6 +13,7 @@ store -- must survive concurrent first use from N threads.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from concurrent import futures
 
@@ -191,6 +192,45 @@ class TestSharedStateThreadSafety:
             ]
         assert all(b is blocks[0] for b in blocks)
         assert len(trace_mod._COLUMN_MEMO) == 1
+
+    def test_replay_memo_concurrent_first_use(self, monkeypatch):
+        # 8 threads building replays of one trace at once must derive
+        # its per-trace state once and all share the memoised arrays
+        from repro.workload import trace as trace_mod
+
+        monkeypatch.setattr(trace_mod, "_REPLAY_MEMO", {})
+        derived = []
+        real = trace_mod.TraceWorkload._derive_replay
+
+        def spy(self, trace, max_jobs):
+            derived.append(max_jobs)
+            return real(self, trace, max_jobs)
+
+        monkeypatch.setattr(trace_mod.TraceWorkload, "_derive_replay", spy)
+        jobs = sdsc_trace(600)
+        barrier = threading.Barrier(8)
+
+        def worker(i):
+            barrier.wait()
+            return trace_mod.TraceWorkload(TINY, jobs, load=0.01 * (i + 1),
+                                           max_jobs=600)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with futures.ThreadPoolExecutor(8) as pool:
+                pending = [pool.submit(worker, i) for i in range(8)]
+                built = [f.result(timeout=60) for f in pending]
+        finally:
+            sys.setswitchinterval(interval)
+        assert derived == [600]
+        assert len(trace_mod._REPLAY_MEMO) == 1
+        first = built[0]
+        for wl in built:
+            assert wl._runtimes is first._runtimes
+            assert wl._messages is first._messages
+            assert wl.stats == first.stats
+            assert wl.block_fingerprint()[1] == first.block_fingerprint()[1]
 
     @pytest.mark.parametrize("module", (
         network_native, _soa_native, workload_native,

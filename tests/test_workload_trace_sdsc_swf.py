@@ -1,9 +1,11 @@
 """Unit tests for trace replay, the synthetic SDSC trace and the SWF parser."""
 
 
+import numpy as np
 import pytest
 
-from repro.core.config import SimConfig
+from repro.core.config import PAPER_CONFIG, SimConfig
+from repro.workload import trace as trace_mod
 from repro.workload.sdsc import SDSC_PUBLISHED, synthesize_sdsc_trace, verify
 from repro.workload.swf import SWFError, load_swf, parse_swf, parse_swf_line
 from repro.workload.trace import TraceJob, TraceWorkload, trace_stats
@@ -98,6 +100,109 @@ class TestTraceWorkload:
     def test_bad_load_rejected(self):
         with pytest.raises(ValueError):
             TraceWorkload(CFG, small_trace(), load=-1)
+
+
+def scalar_demands(runtimes, mean_messages, max_messages) -> list[int]:
+    """The scalar-``round()`` demand derivation the vector form replaces."""
+    runtimes = np.asarray(runtimes, dtype=np.float64)
+    order = np.argsort(runtimes, kind="stable")
+    ranks = np.empty(len(runtimes), dtype=np.float64)
+    ranks[order] = np.arange(1, len(runtimes) + 1)
+    demands = -mean_messages * np.log1p(-(ranks / (len(runtimes) + 1)))
+    return [min(max(1, round(k)), max_messages) for k in demands]
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Empty replay and column memos for the duration of one test."""
+    monkeypatch.setattr(trace_mod, "_REPLAY_MEMO", {})
+    monkeypatch.setattr(trace_mod, "_COLUMN_MEMO", {})
+
+
+class TestReplayMemo:
+    """Per-trace replay state comes from a bounded process-wide memo."""
+
+    @pytest.mark.parametrize("prefix", [600, 2000, None],
+                             ids=["smoke", "quick", "paper"])
+    def test_memo_hit_equals_fresh_build(self, prefix, fresh_memos,
+                                         monkeypatch):
+        from repro.experiments.campaign import sdsc_trace
+
+        trace = sdsc_trace(prefix)
+        first = TraceWorkload(PAPER_CONFIG, trace, 0.004, max_jobs=prefix)
+        hit = TraceWorkload(PAPER_CONFIG, trace, 0.007, max_jobs=prefix)
+        assert hit._arrivals is first._arrivals  # served from the memo
+        hit_columns = hit._columns()
+        monkeypatch.setattr(trace_mod, "_REPLAY_MEMO", {})
+        monkeypatch.setattr(trace_mod, "_COLUMN_MEMO", {})
+        fresh = TraceWorkload(PAPER_CONFIG, list(trace), 0.007,
+                              max_jobs=prefix)
+        assert fresh._arrivals is not hit._arrivals
+        assert hit.trace == fresh.trace == tuple(trace[:prefix])
+        assert hit.stats == fresh.stats == trace_stats(hit.trace)
+        assert hit.factor == fresh.factor
+        for name in ("_arrivals", "_sizes", "_runtimes"):
+            a, b = getattr(hit, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert hit._messages == fresh._messages == tuple(scalar_demands(
+            fresh._runtimes, fresh.mean_messages, PAPER_CONFIG.max_messages))
+        assert hit.block_fingerprint() == fresh.block_fingerprint()
+        fresh_columns = fresh._columns()
+        assert fresh_columns is not hit_columns
+        for name in ("job_id", "arrival", "width", "length", "messages",
+                     "demand", "runtime"):
+            assert np.array_equal(getattr(hit_columns, name),
+                                  getattr(fresh_columns, name)), name
+
+    @pytest.mark.parametrize("mean, cap", [(5.0, 512), (40.0, 30),
+                                           (0.3, 512), (5.0, 1)])
+    def test_vector_demands_equal_scalar_round(self, mean, cap):
+        rng = np.random.default_rng(3)
+        runtimes = rng.lognormal(5.0, 1.9, 4000)
+        # ties: repeated runtimes keep trace order in the ranking
+        runtimes[::7] = 100.0
+        runtimes[1::11] = runtimes[2]
+        got = trace_mod._quantile_matched_demands(runtimes, mean, cap)
+        assert got == scalar_demands(runtimes, mean, cap)
+        assert all(type(k) is int for k in got)
+        assert max(got) <= cap and min(got) >= 1
+
+    def test_demands_round_half_to_even(self):
+        # 2 jobs: quantiles 1/3 and 2/3; pick means landing on x.5
+        q = np.array([1.0, 2.0]) / 3
+        for target, want in ((0.5, 1), (2.5, 2), (3.5, 4)):
+            mean = target / -np.log1p(-q[0])
+            got = trace_mod._quantile_matched_demands(
+                np.array([1.0, 2.0]), mean, 512)
+            assert got[0] == want
+            assert got == scalar_demands([1.0, 2.0], mean, 512)
+
+    def test_memo_is_bounded_and_keyed_by_trace_object(self, fresh_memos):
+        traces = [small_trace() for _ in range(trace_mod.REPLAY_MEMO_SIZE + 5)]
+        for t in traces:
+            TraceWorkload(CFG, t, load=0.01)
+        assert len(trace_mod._REPLAY_MEMO) == trace_mod.REPLAY_MEMO_SIZE
+        # the oldest entries went first; the newest are hits
+        newest = TraceWorkload(CFG, traces[-1], load=0.02)
+        assert len(trace_mod._REPLAY_MEMO) == trace_mod.REPLAY_MEMO_SIZE
+        assert any(r.source is traces[-1] and r.runtimes is newest._runtimes
+                   for r in trace_mod._REPLAY_MEMO.values())
+        assert not any(r.source is traces[0]
+                       for r in trace_mod._REPLAY_MEMO.values())
+
+    def test_demand_parameters_key_separate_entries(self, fresh_memos):
+        trace = small_trace()
+        a = TraceWorkload(CFG, trace, load=0.01)
+        b = TraceWorkload(CFG.with_(max_messages=2), trace, load=0.01)
+        c = TraceWorkload(CFG, trace, load=0.01, max_jobs=3)
+        assert len(trace_mod._REPLAY_MEMO) == 3
+        assert max(b._messages) <= 2 < max(a._messages)
+        assert len(c.trace) == 3
+
+    def test_memoised_arrays_are_read_only(self, fresh_memos):
+        wl = TraceWorkload(CFG, small_trace(), load=0.01)
+        with pytest.raises(ValueError):
+            wl._runtimes[0] = 1.0
 
 
 class TestSyntheticSDSC:
